@@ -3,8 +3,9 @@
 Each family is parameterized by two angle functions theta(t), phi(t) and,
 for the phased family, two additional phase functions gamma(t), kappa(t).
 Basis vectors are closed-form functions of the schedule so Hamiltonians can
-be assembled at arbitrary integrator times; the angle functions carry their
-analytic derivatives as first-class data.
+be assembled at arbitrary integrator times, one time or a whole time grid per
+call; the angle functions carry their analytic derivatives as first-class
+data.
 """
 
 from __future__ import annotations
@@ -36,6 +37,24 @@ def constant_function(value: float) -> Callable:
         return np.full_like(np.asarray(t, dtype=float), value)
 
     return f
+
+
+def _sample(f: Callable, t):
+    """f(t) as floats; a NumPy scalar (cheap arithmetic) when t is a scalar."""
+    return np.asarray(f(t), dtype=float)[()]
+
+
+def _matrix(entries, shape: tuple) -> np.ndarray:
+    """A nested (d, d) list of entries, each broadcast to ``shape``.
+
+    Returns shape + (d, d); entries may be scalars, such as a literal 0.0
+    or an angle function that returns a constant.
+    """
+    out = np.empty(shape + (len(entries), len(entries[0])), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, value in enumerate(row):
+            out[..., i, j] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,51 +191,57 @@ class MovingBasis:
             self, "dimension", 4 if self.family is BasisFamily.FOUR_LEVEL else 3
         )
 
-    def vectors(self, t: float) -> np.ndarray:
-        """Basis vectors at time t, one per row."""
+    def vectors(self, t) -> np.ndarray:
+        """Basis vectors at time t, one per row.
+
+        ``t`` of shape S gives shape S + (d, d); a scalar gives (d, d).
+        """
         s = self.schedule
-        th, ph = float(s.theta(t)), float(s.phi(t))
+        th, ph = _sample(s.theta, t), _sample(s.phi, t)
         c, sn = np.cos(th), np.sin(th)
         cp, sp = np.cos(ph), np.sin(ph)
         if self.family is BasisFamily.THREE_REAL:
-            return np.array(
+            return _matrix(
                 [
                     [c, 0.0, sn],
                     [sn * cp, sp, -c * cp],
                     [sn * sp, -cp, -c * sp],
                 ],
-                dtype=complex,
+                np.shape(t),
             )
         if self.family is BasisFamily.THREE_PHASED:
-            eg = np.exp(1j * float(s.gamma(t)))
-            ek = np.exp(1j * float(s.kappa(t)))
-            return np.array(
+            eg = np.exp(1j * _sample(s.gamma, t))
+            ek = np.exp(1j * _sample(s.kappa, t))
+            return _matrix(
                 [
                     [sn * cp, eg * sp, ek * c * cp],
                     [sn * sp, -eg * cp, ek * c * sp],
                     [c, 0.0, -ek * sn],
                 ],
-                dtype=complex,
+                np.shape(t),
             )
-        return np.array(
+        return _matrix(
             [
                 [c * cp, c * sp, sn * cp, sn * sp],
                 [sn * cp, sn * sp, -c * cp, -c * sp],
                 [c * sp, -c * cp, sn * sp, -sn * cp],
                 [sn * sp, -sn * cp, -c * sp, c * cp],
             ],
-            dtype=complex,
+            np.shape(t),
         )
 
-    def vector_derivatives(self, t: float) -> np.ndarray:
-        """Analytic time derivatives of the basis vectors, one per row."""
+    def vector_derivatives(self, t) -> np.ndarray:
+        """Analytic time derivatives of the basis vectors, one per row.
+
+        Same shape convention as ``vectors``.
+        """
         s = self.schedule
-        th, ph = float(s.theta(t)), float(s.phi(t))
-        dth, dph = float(s.dtheta(t)), float(s.dphi(t))
+        th, ph = _sample(s.theta, t), _sample(s.phi, t)
+        dth, dph = _sample(s.dtheta, t), _sample(s.dphi, t)
         c, sn = np.cos(th), np.sin(th)
         cp, sp = np.cos(ph), np.sin(ph)
         if self.family is BasisFamily.THREE_REAL:
-            return np.array(
+            return _matrix(
                 [
                     [-sn * dth, 0.0, c * dth],
                     [
@@ -230,14 +255,14 @@ class MovingBasis:
                         sn * sp * dth - c * cp * dph,
                     ],
                 ],
-                dtype=complex,
+                np.shape(t),
             )
         if self.family is BasisFamily.THREE_PHASED:
-            g, k = float(s.gamma(t)), float(s.kappa(t))
-            dg, dk = float(s.dgamma(t)), float(s.dkappa(t))
+            g, k = _sample(s.gamma, t), _sample(s.kappa, t)
+            dg, dk = _sample(s.dgamma, t), _sample(s.dkappa, t)
             eg = np.exp(1j * g)
             ek = np.exp(1j * k)
-            return np.array(
+            return _matrix(
                 [
                     [
                         c * cp * dth - sn * sp * dph,
@@ -251,9 +276,9 @@ class MovingBasis:
                     ],
                     [-sn * dth, 0.0, -ek * (1j * dk * sn + c * dth)],
                 ],
-                dtype=complex,
+                np.shape(t),
             )
-        return np.array(
+        return _matrix(
             [
                 [
                     -sn * cp * dth - c * sp * dph,
@@ -280,7 +305,7 @@ class MovingBasis:
                     -sn * cp * dth - c * sp * dph,
                 ],
             ],
-            dtype=complex,
+            np.shape(t),
         )
 
     def gram(self, t: float) -> np.ndarray:

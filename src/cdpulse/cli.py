@@ -132,14 +132,31 @@ def build_parser(defaults: dict | None = None) -> _Parser:
             known = {}
             for action in p._actions:
                 if action.dest in defaults:
-                    raw = defaults[action.dest]
-                    known[action.dest] = action.type(raw) if action.type else raw
+                    known[action.dest] = _config_value(action, defaults[action.dest])
             p.set_defaults(**known)
     return parser
 
 
+def _config_value(action: argparse.Action, raw: str):
+    """Coerce and check a config-file value as argparse checks the flag."""
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError as exc:
+        raise UsageError(
+            f"config value {action.dest}={raw!r} is not a valid {action.type.__name__}"
+        ) from exc
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config value {action.dest}={raw!r} is not one of {list(action.choices)}"
+        )
+    return value
+
+
 def _resolve_target(args) -> TargetState:
     mu, eta, nu = args.mu, args.eta, args.nu
+    for name, value in (("mu", mu), ("eta", eta), ("nu", nu)):
+        if value is not None and not math.isfinite(value):
+            raise InvalidInputError(f"target amplitude {name} = {value} is not finite")
     eta = 0.0 if eta is None else eta
     if mu is None and nu is None:
         mu = 0.0

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the array-size guard shared across the package."""
 
 
 class CdpulseError(Exception):
@@ -47,3 +47,17 @@ class MappingUnsupportedError(CdpulseError):
 
 class UsageError(CdpulseError):
     """Malformed command line."""
+
+
+# Largest array a single request may ask for; larger sizes are rejected
+# before anything is allocated.
+MAX_ARRAY_BYTES = 1 << 30
+
+
+def check_array_budget(name: str, count: int, bytes_per_item: int) -> None:
+    """Raise InvalidInputError if ``count`` items would exceed MAX_ARRAY_BYTES."""
+    if count * bytes_per_item > MAX_ARRAY_BYTES:
+        raise InvalidInputError(
+            f"{name} too large: {count} x {bytes_per_item} bytes exceeds "
+            f"the {MAX_ARRAY_BYTES >> 20} MiB limit"
+        )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_array_budget
 from .protocols import PulseSet, TargetState, solve_multimode_boundary
 
 MASK_VALUE = 0.0
@@ -125,6 +125,7 @@ def ratio_surface(resolution: int) -> RatioSurface:
     """Uniform (mu, eta) grid over [0, 1]^2 with masked ratios."""
     if resolution < 10:
         raise InvalidInputError(f"need resolution >= 10, got {resolution}")
+    check_array_budget("resolution", resolution**2, 8 + 8 + 1)
     mu = np.linspace(0.0, 1.0, resolution)
     eta = np.linspace(0.0, 1.0, resolution)
     omega = np.zeros((resolution, resolution))

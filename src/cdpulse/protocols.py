@@ -30,6 +30,7 @@ from .errors import (
     InvalidInputError,
     ProtocolMismatchError,
     UnsupportedBranchError,
+    check_array_budget,
 )
 from .schedules import CubicBoundary, CubicPolynomial, fit_cubic
 
@@ -71,10 +72,16 @@ class TargetState:
     kappa_phase: float = 0.0
 
     def __post_init__(self) -> None:
+        # written so that NaN and Inf fail: a NaN residual is not <= tol
         residual = abs(self.mu**2 + self.eta**2 + self.nu**2 - 1.0)
-        if residual > NORM_TOL:
+        if not residual <= NORM_TOL:
             raise InvalidInputError(
                 f"target norm residual {residual:.3e} exceeds {NORM_TOL:.1e}"
+            )
+        if not (math.isfinite(self.gamma_phase) and math.isfinite(self.kappa_phase)):
+            raise InvalidInputError(
+                f"target phases must be finite, got {self.gamma_phase}, "
+                f"{self.kappa_phase}"
             )
 
     @classmethod
@@ -111,6 +118,10 @@ class ProtocolRequest:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
             raise InvalidInputError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        if self.lambda_rate is not None and not math.isfinite(self.lambda_rate):
+            raise InvalidInputError(
+                f"lambda_rate must be finite, got {self.lambda_rate}"
+            )
 
     @property
     def duration(self) -> float:
@@ -129,6 +140,7 @@ class PulseSet:
 
     def sample(self, n: int = 1001):
         """Uniform sample grid: (t, Omega_p, Omega_s, Omega_a) arrays."""
+        check_array_budget("sample count", n, 4 * 8)
         t = np.linspace(self.t0, self.tf, n)
         return (
             t,
@@ -190,7 +202,7 @@ def _check_initial(request: ProtocolRequest, required_index: int) -> np.ndarray:
     vec = np.asarray(init, dtype=complex)
     if vec.shape != (3,):
         raise InvalidInputError(f"initial state has shape {vec.shape}, expected (3,)")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-8:
         raise InvalidInputError("initial state vector is not normalized")
     if abs(np.vdot(_bare_state(required_index), vec)) < 1.0 - 1e-10:
         raise ProtocolMismatchError(
@@ -223,10 +235,9 @@ def _cubic_schedule_pair(
 
 def select_branch(mu: float, nu: float, branch: Branch) -> float:
     """Final mixing angle theta(T) for a two-state target mu|1> + nu|3>."""
-    if abs(mu**2 + nu**2 - 1.0) > 1e-9:
-        raise InvalidInputError(
-            f"(mu, nu) not normalized: residual {abs(mu**2 + nu**2 - 1.0):.3e}"
-        )
+    residual = abs(mu**2 + nu**2 - 1.0)
+    if not residual <= 1e-9:
+        raise InvalidInputError(f"(mu, nu) not normalized: residual {residual:.3e}")
     if branch is Branch.LEAST_ENERGY:
         return math.asin(nu)
     if branch is Branch.ARCSIN_PLUS:

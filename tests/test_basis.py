@@ -182,6 +182,22 @@ class TestMovingBases:
                 fd = (basis.vectors(t + h) - basis.vectors(t - h)) / (2.0 * h)
                 assert np.max(np.abs(fd - basis.vector_derivatives(t))) <= 1e-7
 
+    def test_time_arrays_match_scalar_calls(self):
+        # vectors/vector_derivatives on a time grid must be the stack of the
+        # scalar calls, with the grid's shape in front of (d, d)
+        rng = np.random.default_rng(19)
+        times = rng.uniform(0.0, 1.0, size=257)
+        for builder, phases in self.builders():
+            basis = builder(cubic_schedule(rng, phases=phases))
+            d = basis.dimension
+            for method in (basis.vectors, basis.vector_derivatives):
+                batch = method(times)
+                assert batch.shape == (times.size, d, d)
+                scalar = np.array([method(t) for t in times])
+                assert np.max(np.abs(batch - scalar)) <= 1e-15
+                assert method(times.reshape(257, 1)).shape == (257, 1, d, d)
+                assert method(0.5).shape == (d, d)
+
     def test_family_guards(self):
         rng = np.random.default_rng(2)
         sched = cubic_schedule(rng, phases=True)

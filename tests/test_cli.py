@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from cdpulse.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from cdpulse import cli
+from cdpulse.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from cdpulse.dynamics import HamiltonianSpec
 
 
 def read_csv(path):
@@ -219,6 +222,22 @@ class TestConfigAndErrors:
         cfg.write_text("protocol single-I\n")
         assert main(["design", "--config", str(cfg)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "line,key",
+        [
+            ("steps = abc", "steps='abc'"),
+            ("mu = half", "mu='half'"),
+            ("format = xml", "format='xml'"),
+            ("branch = sideways", "branch='sideways'"),
+        ],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"protocol = single-I\nnu = 0.70710678\n{line}\n")
+        code = main(["design", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_missing_protocol(self):
         assert main(["design"]) == EXIT_USAGE
 
@@ -237,6 +256,47 @@ class TestConfigAndErrors:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flag", ["--mu", "--nu", "--eta", "--kappa"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_target(self, tmp_path, capsys, flag, value):
+        argv = ["design", "--protocol", "single-I", "--out", str(tmp_path)]
+        if flag != "--nu":
+            argv += ["--nu", "0.70710678"]
+        code = main(argv + [flag, value])
+        assert code == EXIT_VALIDATION
+        assert "target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--protocol", "single-I", "--nu", "1.0",
+             "--steps", "1000000000000"],
+            ["design", "--protocol", "single-I", "--nu", "1.0",
+             "--steps", "1000000000000"],
+            ["sweep", "--resolution", "10000000"],
+        ],
+    )
+    def test_oversized_request(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert "too large" in capsys.readouterr().err
+
+    def test_non_finite_hamiltonian_is_accuracy_error(self, tmp_path, monkeypatch):
+        nan_spec = HamiltonianSpec(
+            3, lambda t: np.full(np.shape(t) + (3, 3), np.nan)
+        )
+        real_design = cli.design
+        monkeypatch.setattr(
+            cli,
+            "design",
+            lambda request: dataclasses.replace(
+                real_design(request), hamiltonian=nan_spec
+            ),
+        )
+        code = main(
+            ["evolve", "--protocol", "single-I", "--nu", "1.0", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_ACCURACY
 
     def test_unknown_flag(self):
         assert main(["design", "--protocol", "single-I", "--bogus"]) == EXIT_USAGE

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cdpulse import (
+    Branch,
     CubicBoundary,
     HamiltonianSpec,
     Protocol,
@@ -22,7 +24,12 @@ from cdpulse import (
     phased_hamiltonian,
     build_four_level_basis,
     build_three_real_basis,
+    design,
+    design_multimode,
+    preset_targets,
+    ratio_surface,
 )
+from cdpulse.dynamics import BLOCK_STEPS
 from cdpulse.errors import (
     IntegrationAccuracyError,
     InvalidInputError,
@@ -39,6 +46,65 @@ def symmetric_design():
     return design_protocol_II(
         ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3))
     )
+
+
+def reference_rk4(spec, psi0, t0, tf, steps):
+    """The classical RK4 loop, one scalar H(t) per stage (test oracle)."""
+    h = (tf - t0) / steps
+    times = t0 + h * np.arange(steps + 1)
+    psi = np.asarray(psi0, dtype=complex)
+    states = [psi]
+
+    def rhs(t, y):
+        return -1j * (spec.evaluator(t) @ y)
+
+    for k in range(steps):
+        t = times[k]
+        k1 = rhs(t, psi)
+        k2 = rhs(t + 0.5 * h, psi + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, psi + 0.5 * h * k2)
+        k4 = rhs(t + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    return np.array(states)
+
+
+def protocol_cases():
+    """(spec, psi0, t0, tf) for every protocol plus the cavity mapping."""
+    requests = [
+        ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2),
+                        branch=Branch.ARCCOS_PLUS),
+        ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3), tf=0.5),
+        ProtocolRequest(Protocol.SINGLE_MODE_II_NO_MICROWAVE,
+                        TargetState(SQ2, 0.0, SQ2), tf=3.0),
+        ProtocolRequest(Protocol.MULTI_MODE, TargetState(SQ3, SQ3, SQ3)),
+        ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2), tf=2.0,
+                        lambda_rate=0.7),
+    ]
+    cases = {}
+    for request in requests:
+        d = design(request)
+        cases[request.protocol.value] = (
+            d.hamiltonian, d.initial_state, request.t0, request.tf
+        )
+    d = design_multimode(preset_targets("cavity-bell"))
+    cases["cavity-qed"] = (cavity_qed_hamiltonian(d.pulses), d.initial_state, 0.0, 1.0)
+    return cases
+
+
+def evaluator_specs():
+    """One spec per evaluator: Lambda, cavity, four-level, from-basis."""
+    rng = np.random.default_rng(71)
+    d = design_multimode(preset_targets("cavity-bell"))
+    return {
+        "lambda": symmetric_design().hamiltonian,
+        "cavity-qed": cavity_qed_hamiltonian(d.pulses),
+        "four-level": four_level_hamiltonian(cubic_schedule(rng)),
+        "from-basis": phased_hamiltonian(cubic_schedule(rng, phases=True)),
+        "from-basis-four-level": hamiltonian_from_basis(
+            build_four_level_basis(cubic_schedule(rng))
+        ),
+    }
 
 
 def snapshot_trajectory(state):
@@ -125,6 +191,24 @@ class TestHamiltonianAssembly:
                 assert spec.hermiticity_defect(t) <= 1e-12
 
 
+class TestVectorizedEvaluators:
+    @pytest.mark.parametrize(
+        "name",
+        ["lambda", "cavity-qed", "four-level", "from-basis", "from-basis-four-level"],
+    )
+    def test_time_grid_matches_scalar_calls(self, name):
+        spec = evaluator_specs()[name]
+        d = spec.dimension
+        times = np.random.default_rng(73).uniform(0.0, 1.0, size=257)
+        batch = spec.evaluator(times)
+        assert batch.shape == (times.size, d, d)
+        scalar = np.array([spec.evaluator(t) for t in times])
+        assert np.max(np.abs(batch - scalar)) <= 1e-15
+        assert spec.evaluator(times.reshape(257, 1)).shape == (257, 1, d, d)
+        assert spec.evaluator(0.5).shape == (d, d)
+        assert spec.hermiticity_defect(times) <= 1e-12
+
+
 class TestCavityQed:
     def test_pattern_and_hermiticity(self):
         from cdpulse import design_multimode, preset_targets
@@ -162,7 +246,9 @@ class TestCavityQed:
 
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
-        spec = HamiltonianSpec(3, lambda t: np.zeros((3, 3), dtype=complex))
+        spec = HamiltonianSpec(
+            3, lambda t: np.zeros(np.shape(t) + (3, 3), dtype=complex)
+        )
         psi0 = np.array([0.6, 0.8j, 0.0])
         traj = evolve(spec, psi0, 0.0, 1.0, steps=100)
         assert np.max(np.abs(traj.states - psi0)) <= 1e-15
@@ -197,7 +283,15 @@ class TestEvolve:
         base = np.array(
             [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]], dtype=complex
         )
-        spec = HamiltonianSpec(3, lambda t: 80.0 * base)
+        spec = HamiltonianSpec(
+            3, lambda t: np.broadcast_to(80.0 * base, np.shape(t) + (3, 3))
+        )
+        with pytest.raises(IntegrationAccuracyError):
+            evolve(spec, [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hamiltonian_raises(self, value):
+        spec = HamiltonianSpec(3, lambda t: np.full(np.shape(t) + (3, 3), value))
         with pytest.raises(IntegrationAccuracyError):
             evolve(spec, [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
 
@@ -211,6 +305,74 @@ class TestEvolve:
             evolve(spec, [0.9, 0.0, 0.0], 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             evolve(spec, [1.0, 0.0, 0.0, 0.0], 0.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            evolve(spec, [np.nan, 0.0, 0.0], 0.0, 1.0)
+        with pytest.raises(InvalidInputError):
+            evolve(spec, [1.0, 0.0, 0.0], 0.0, np.nan)
+        with pytest.raises(InvalidInputError):
+            evolve(spec, [1.0, 0.0, 0.0], 0.0, np.inf)
+
+
+class TestBlockPropagation:
+    @pytest.mark.parametrize("steps", [400, 4000])
+    @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
+    def test_matches_per_step_rk4(self, name, steps):
+        spec, psi0, t0, tf = protocol_cases()[name]
+        traj = evolve(spec, psi0, t0, tf, steps=steps)
+        expected = reference_rk4(spec, psi0, t0, tf, steps)
+        assert traj.states.shape == expected.shape
+        assert np.max(np.abs(traj.states - expected)) <= 1e-13
+
+    def test_evaluator_called_once_per_stage_grid(self):
+        base = symmetric_design().hamiltonian
+        shapes = []
+
+        def counting(t):
+            shapes.append(np.shape(t))
+            return base.evaluator(t)
+
+        evolve(HamiltonianSpec(3, counting), [1.0, 0.0, 0.0], 0.0, 1.0, steps=4000)
+        assert len(shapes) <= 3 * math.ceil(4000 / BLOCK_STEPS)
+        assert sum(s[0] for s in shapes) == 3 * 4000
+
+    def test_drift_reported_at_first_offending_step(self):
+        # H switches on in the middle of a block; the step from t = 0.29
+        # samples it at t + h/2, so the first drifting state is at t = 0.3,
+        # the time a per-step check reports
+        base = np.array(
+            [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]], dtype=complex
+        )
+        t_on = 0.3
+
+        def evaluator(t):
+            on = (np.asarray(t) >= t_on)[..., None, None]
+            return np.where(on, 80.0 * base, 0.0)
+
+        with pytest.raises(IntegrationAccuracyError, match=r"at t = 0\.3;"):
+            evolve(HamiltonianSpec(3, evaluator), [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
+
+
+class TestSizeGuards:
+    def test_rejected_before_allocation(self):
+        def never(t):
+            raise AssertionError("evaluated despite the size guard")
+
+        from cdpulse.protocols import PulseSet
+
+        pulses = PulseSet(never, never, never, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="too large"):
+                evolve(HamiltonianSpec(3, never), [1.0, 0.0, 0.0], 0.0, 1.0,
+                       steps=10**12)
+            with pytest.raises(InvalidInputError, match="too large"):
+                pulses.sample(10**12)
+            with pytest.raises(InvalidInputError, match="too large"):
+                ratio_surface(10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestObservables:

@@ -48,9 +48,32 @@ class TestTargetState:
         with pytest.raises(InvalidInputError):
             TargetState.normalized(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (math.nan, 0.0, 0.0),
+            (0.0, 0.0, math.nan),
+            (math.inf, 0.0, 0.0),
+            (1.0, 0.0, 0.0, math.nan, 0.0),
+            (1.0, 0.0, 0.0, 0.0, math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(InvalidInputError, match="target"):
+            TargetState(*values)
+        with pytest.raises(InvalidInputError):
+            TargetState.normalized(*values)
+
     def test_request_interval(self):
         with pytest.raises(InvalidInputError):
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0), tf=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_lambda_rate(self, rate):
+        with pytest.raises(InvalidInputError, match="lambda_rate"):
+            ProtocolRequest(
+                Protocol.PHASED, TargetState(SQ2, 0.0, SQ2), lambda_rate=rate
+            )
 
 
 class TestSelectBranch:
@@ -75,6 +98,14 @@ class TestSelectBranch:
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidInputError):
             select_branch(0.9, 0.9, Branch.LEAST_ENERGY)
+
+    @pytest.mark.parametrize(
+        "mu,nu", [(math.nan, 0.0), (SQ2, math.nan), (math.inf, 0.0)]
+    )
+    def test_non_finite_rejected(self, mu, nu):
+        for branch in Branch:
+            with pytest.raises(InvalidInputError):
+                select_branch(mu, nu, branch)
 
 
 class TestProtocolI:
@@ -120,6 +151,16 @@ class TestProtocolI:
                     Protocol.SINGLE_MODE_I,
                     TargetState(SQ2, 0.0, SQ2),
                     initial_state=2,
+                )
+            )
+
+    def test_non_finite_initial_vector(self):
+        with pytest.raises(InvalidInputError, match="not normalized"):
+            design_protocol_I(
+                ProtocolRequest(
+                    Protocol.SINGLE_MODE_I,
+                    TargetState(SQ2, 0.0, SQ2),
+                    initial_state=np.array([np.nan, 0.0, 0.0]),
                 )
             )
 
