@@ -49,6 +49,13 @@ EXIT_USAGE = 4
 # below this residual, reject above it.
 CLI_NORM_TOL = 1e-2
 
+# rows per %-format call of _write_csv: keeps the per-cell work in C and the
+# transient tuple and text of one chunk to a few hundred kB
+CSV_CHUNK_ROWS = 1024
+
+PULSE_HEADER = ["t", "omega_p", "omega_s", "omega_a"]
+SURFACE_HEADER = ["mu", "eta", "omega_ratio", "energy_ratio"]
+
 _SQ2 = 1.0 / math.sqrt(2.0)
 _SQ3 = 1.0 / math.sqrt(3.0)
 _SQ6 = 1.0 / math.sqrt(6.0)
@@ -59,16 +66,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _column_block(columns) -> np.ndarray:
+    """Equal-length data columns as one (rows, columns) float block."""
+    return np.column_stack(columns).astype(float, copy=False)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Header line, then one row per sample, every value as ``%.17g``."""
+    block = _column_block(columns)
+    line = ",".join(["%.17g"] * block.shape[1]) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(block), CSV_CHUNK_ROWS):
+            chunk = block[start:start + CSV_CHUNK_ROWS]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -204,11 +216,6 @@ def _build_request(args) -> ProtocolRequest:
     )
 
 
-def _pulse_rows(dsg: Design, steps: int):
-    t, op, os_, oa = dsg.pulses.sample(steps + 1)
-    return zip(t, op, os_, oa)
-
-
 def _design_payload(dsg: Design) -> dict:
     return {"protocol": dsg.protocol.value, **dsg.boundary}
 
@@ -216,14 +223,8 @@ def _design_payload(dsg: Design) -> dict:
 def cmd_design(args) -> int:
     dsg = design(_build_request(args))
     out = Path(args.out)
-    rows = list(_pulse_rows(dsg, args.steps))
-    if args.format == "json":
-        _write_json(out / "pulses.json", {
-            "header": ["t", "omega_p", "omega_s", "omega_a"],
-            "rows": [[float(v) for v in row] for row in rows],
-        })
-    else:
-        _write_csv(out / "pulses.csv", ["t", "omega_p", "omega_s", "omega_a"], rows)
+    _write_table(out, "pulses", PULSE_HEADER, dsg.pulses.sample(args.steps + 1),
+                 args.format)
     _write_json(out / "design.json", _design_payload(dsg))
     return EXIT_OK
 
@@ -247,17 +248,19 @@ def _trajectory_columns(dsg: Design, traj: Trajectory):
     return header, cols
 
 
+def _write_table(out: Path, name: str, header: list[str], columns,
+                 fmt: str = "csv") -> None:
+    """``name.csv``, or ``name.json`` with a header and a list of rows."""
+    if fmt == "json":
+        _write_json(out / f"{name}.json",
+                    {"header": header, "rows": _column_block(columns).tolist()})
+    else:
+        _write_csv(out / f"{name}.csv", header, columns)
+
+
 def _write_trajectory(out: Path, name: str, dsg: Design, traj: Trajectory,
                       fmt: str = "csv") -> None:
-    header, cols = _trajectory_columns(dsg, traj)
-    rows = zip(*cols)
-    if fmt == "json":
-        _write_json(out / f"{name}.json", {
-            "header": header,
-            "rows": [[float(v) for v in row] for row in rows],
-        })
-    else:
-        _write_csv(out / f"{name}.csv", header, rows)
+    _write_table(out, name, *_trajectory_columns(dsg, traj), fmt)
 
 
 def cmd_evolve(args) -> int:
@@ -278,8 +281,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_sweep(args) -> int:
     surface = metrics_mod.ratio_surface(args.resolution)
-    _write_csv(Path(args.out) / "ratio_surface.csv",
-               ["mu", "eta", "omega_ratio", "energy_ratio"], surface.rows())
+    _write_csv(Path(args.out) / "ratio_surface.csv", SURFACE_HEADER,
+               surface.columns())
     return EXIT_OK
 
 
@@ -307,11 +310,15 @@ def cmd_metrics(args) -> int:
 
 
 def _figure_runs(args):
-    """Designs/trajectories behind each figure, keyed by figure number."""
+    """Designs/trajectories behind each figure, keyed by figure number.
+
+    ``--T`` is the duration of every figure with a single one; figure 2
+    compares three fixed durations and figure 10 has none.
+    """
     out = Path(args.out)
     steps = args.steps
 
-    def run(protocol, mu, eta, nu, name, kind, tf=1.0, branch=Branch.LEAST_ENERGY,
+    def run(protocol, mu, eta, nu, name, kind, tf=args.T, branch=Branch.LEAST_ENERGY,
             initial=None, lambda_rate=None):
         request = ProtocolRequest(
             protocol=protocol,
@@ -323,8 +330,8 @@ def _figure_runs(args):
         )
         dsg = design(request)
         if kind == "pulses":
-            _write_csv(out / f"{name}.csv", ["t", "omega_p", "omega_s", "omega_a"],
-                       _pulse_rows(dsg, steps))
+            _write_csv(out / f"{name}.csv", PULSE_HEADER,
+                       dsg.pulses.sample(steps + 1))
         else:
             traj = evolve(dsg.hamiltonian, dsg.initial_state, request.t0,
                           request.tf, steps=steps)
@@ -335,6 +342,11 @@ def _figure_runs(args):
         run(Protocol.SINGLE_MODE_I, _SQ2, 0.0, _SQ2, "fig1a_pulses", "pulses")
         run(Protocol.SINGLE_MODE_I, _SQ2, 0.0, _SQ2, "fig1b_populations", "traj")
     elif fig == 2:
+        if args.T != 1.0:
+            raise UsageError(
+                f"figure 2 compares the durations 0.1, 1 and 10; --T {args.T} "
+                "does not apply"
+            )
         for T, tag in [(0.1, "0.1"), (1.0, "1"), (10.0, "10")]:
             run(Protocol.SINGLE_MODE_I, 0.0, 0.0, 1.0,
                 f"fig2_populations_T{tag}", "traj", tf=T)
@@ -374,8 +386,8 @@ def _figure_runs(args):
             run(Protocol.MULTI_MODE, mu, eta, nu, f"fig9{tag}_populations", "traj")
     elif fig == 10:
         surface = metrics_mod.ratio_surface(args.resolution)
-        _write_csv(out / "fig10_ratio_surface.csv",
-                   ["mu", "eta", "omega_ratio", "energy_ratio"], surface.rows())
+        _write_csv(out / "fig10_ratio_surface.csv", SURFACE_HEADER,
+                   surface.columns())
     elif fig in (11, 12):
         run(Protocol.PHASED, _SQ2, 0.0, _SQ2,
             "fig11_bloch" if fig == 11 else "fig12_angles", "traj")

@@ -181,8 +181,14 @@ class Trajectory:
         return self.states[-1]
 
     def fidelity_to(self, target: np.ndarray) -> float:
-        """|<target|psi(tf)>|^2."""
-        return float(np.abs(np.vdot(np.asarray(target), self.final_state)) ** 2)
+        """|<target|psi(tf)>|^2, clamped to at most 1.
+
+        The clamp removes rounding only: for normalized states the overlap
+        cannot exceed 1, yet its computed square can by a few ulps.  A NaN
+        overlap stays NaN.
+        """
+        overlap = float(np.abs(np.vdot(np.asarray(target), self.final_state)) ** 2)
+        return min(overlap, 1.0)
 
 
 def evolve(

@@ -3,12 +3,23 @@
 The time-averaged frequency is (1/T) * integral of sqrt(Op^2 + Os^2); the
 energy functional is the integral of (Op^2 + Os^2) as printed, without a
 1/T prefactor (the comparison ratios are prefactor-independent).
+
+The comparison surface is evaluated on the whole (mu, eta) grid at once and
+equals the scalar ``mode_comparison_ratio`` bit for bit.  It is libm-exact:
+numpy does only the operations IEEE rounds exactly (+ - * /, sqrt, abs,
+comparisons), and every transcendental and every ``x**2`` is the libm call
+the scalar path makes (``math.atan2``, ``math.sin``, ``math.asin``,
+``pow``) mapped over Python floats.  numpy's SIMD arcsin and arctan2 differ
+from libm by one ulp at a few percent of inputs, and ``x*x`` differs from
+``pow(x, 2)`` at ~0.1%; where the arcsin argument is 1 to the last bit (fig.
+10's point (33/49, 28/49)) one ulp moves the ratio by ~6e-9.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import simpson
@@ -17,6 +28,10 @@ from .errors import InvalidInputError, check_array_budget
 from .protocols import PulseSet, TargetState, solve_multimode_boundary
 
 MASK_VALUE = 0.0
+
+# mu rows per block of ratio_surface: bounds the transient arrays and the
+# Python-float lists the libm calls need to a few hundred kB at resolution 200
+SURFACE_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -40,11 +55,14 @@ class RatioSurface:
     energy_ratio: np.ndarray
     mask: np.ndarray  # True where eta^2 + mu^2 > 1 (value forced to 0)
 
-    def rows(self):
-        """Flat (mu, eta, omega_ratio, energy_ratio) tuples, mu-major."""
-        for i, m in enumerate(self.mu):
-            for j, e in enumerate(self.eta):
-                yield m, e, self.omega_ratio[i, j], self.energy_ratio[i, j]
+    def columns(self):
+        """Flat (mu, eta, omega_ratio, energy_ratio) columns, mu-major."""
+        return (
+            np.repeat(self.mu, self.eta.size),
+            np.tile(self.eta, self.mu.size),
+            self.omega_ratio.ravel(),
+            self.energy_ratio.ravel(),
+        )
 
 
 def _quadrature(pulses: PulseSet, t0: float, tf: float, points: int):
@@ -121,20 +139,58 @@ def mode_comparison_ratio(mu: float, eta: float, nu: float | None = None):
     return omega_ratio, omega_ratio**2
 
 
+def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` elementwise over 1-D arrays, called on Python floats (libm)."""
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, arrays[0].size)
+
+
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """``x**2`` elementwise as Python computes it (libm ``pow``, not ``x*x``)."""
+    return np.fromiter(map(pow, x.tolist(), repeat(2)), float, x.size)
+
+
+def _comparison_ratios(mu, eta, mu2, eta2):
+    """``mode_comparison_ratio`` at unmasked points, bit for bit.
+
+    Takes 1-D arrays of grid amplitudes and their libm squares; follows the
+    scalar path's operation order and its Python ``min``/``max`` semantics.
+    """
+    rest = 1.0 - mu2 - eta2
+    nu = np.sqrt(np.where(rest > 0.0, rest, 0.0))
+    norm = np.sqrt(mu2 + eta2 + _libm_square(nu))
+    mu, eta, nu = mu / norm, eta / norm, nu / norm
+    # the identity corner keeps its continuum limit 0.5; every other point
+    # has theta0 > 0, so no division below is singular
+    omega = np.full(mu.shape, 0.5)
+    live = ~(np.abs(mu - 1.0) < 1e-12)
+    mu, eta, nu = mu[live], eta[live], nu[live]
+    theta0 = _libm(math.atan2, 1.0 - mu, nu)
+    ratio = eta / _libm(math.sin, theta0)
+    span_m = math.pi - _libm(math.asin, np.where(ratio < 1.0, ratio, 1.0))
+    omega[live] = np.abs(_libm(math.asin, eta) - math.pi / 2.0) / span_m
+    return omega, _libm_square(omega)
+
+
 def ratio_surface(resolution: int) -> RatioSurface:
-    """Uniform (mu, eta) grid over [0, 1]^2 with masked ratios."""
+    """Uniform (mu, eta) grid over [0, 1]^2 with masked ratios.
+
+    Evaluated in blocks of ``SURFACE_BLOCK_ROWS`` mu rows; every unmasked
+    point equals ``mode_comparison_ratio`` bit for bit.
+    """
     if resolution < 10:
         raise InvalidInputError(f"need resolution >= 10, got {resolution}")
     check_array_budget("resolution", resolution**2, 8 + 8 + 1)
     mu = np.linspace(0.0, 1.0, resolution)
     eta = np.linspace(0.0, 1.0, resolution)
+    mu2, eta2 = _libm_square(mu), _libm_square(eta)
     omega = np.zeros((resolution, resolution))
     energy = np.zeros((resolution, resolution))
     mask = np.zeros((resolution, resolution), dtype=bool)
-    for i, m in enumerate(mu):
-        for j, e in enumerate(eta):
-            if e**2 + m**2 > 1.0 + 1e-12:
-                mask[i, j] = True
-                continue
-            omega[i, j], energy[i, j] = mode_comparison_ratio(m, e)
+    for start in range(0, resolution, SURFACE_BLOCK_ROWS):
+        rows = slice(start, start + SURFACE_BLOCK_ROWS)
+        mask[rows] = eta2 + mu2[rows, None] > 1.0 + 1e-12
+        i, j = np.nonzero(~mask[rows])
+        omega[rows][i, j], energy[rows][i, j] = _comparison_ratios(
+            mu[rows][i], eta[j], mu2[rows][i], eta2[j]
+        )
     return RatioSurface(mu=mu, eta=eta, omega_ratio=omega, energy_ratio=energy, mask=mask)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,72 @@ class TestFigures:
 
     def test_unknown_figure(self, tmp_path):
         assert main(["figures", "14", "--out", str(tmp_path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("figure", [1, 3, 4, 5, 6, 7, 8, 9, 11, 12])
+    def test_duration_flag(self, tmp_path, figure):
+        argv = ["figures", str(figure), "--T", "2.5", "--steps", "100",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        files = sorted(tmp_path.glob("*.csv"))
+        assert files
+        for path in files:
+            _, data = read_csv(path)
+            assert (data[0, 0], data[-1, 0]) == (0.0, 2.5)
+
+    def test_figure2_rejects_duration(self, tmp_path, capsys):
+        argv = ["figures", "2", "--T", "5", "--steps", "100", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "figure 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+def reference_write_csv(path, header, columns):
+    """The per-cell writer that the chunked ``_write_csv`` replaced."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+
+
+def edge_values():
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308, 1e16, -1e16,
+               1e17, 0.1, 1.0 / 3.0, 1.7976931348623157e308, 123456789.0]
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=20000, dtype=np.int64)
+    subnormal = rng.uniform(-1.0, 1.0, 2000) * 2.2250738585072014e-308
+    values = np.concatenate([special, bits.view(np.float64), subnormal,
+                             rng.standard_normal(2000)])
+    return values[: 4 * (len(values) // 4)].reshape(4, -1)
+
+
+class TestCsvWriter:
+    def test_matches_per_cell_writer(self, tmp_path):
+        # more rows than one chunk, a partial last chunk and an integer column
+        columns = list(edge_values())
+        columns.append(np.arange(len(columns[0])))
+        assert len(columns[0]) > 2 * cli.CSV_CHUNK_ROWS
+        header = ["a", "b", "c", "d", "n"]
+        cli._write_csv(tmp_path / "new.csv", header, columns)
+        reference_write_csv(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_columns(self, tmp_path):
+        cli._write_csv(tmp_path / "e.csv", ["t", "x"], [np.zeros(0), np.zeros(0)])
+        assert (tmp_path / "e.csv").read_text() == "t,x\n"
+
+    def test_memory_is_chunked(self, tmp_path):
+        rng = np.random.default_rng(3)
+        columns = [rng.standard_normal(100_000) for _ in range(4)]
+        block_bytes = sum(c.nbytes for c in columns)
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", ["a", "b", "c", "d"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block_bytes + 2**20
 
 
 class TestConfigAndErrors:

@@ -375,6 +375,19 @@ class TestSizeGuards:
         assert peak < 1 << 20
 
 
+class TestFidelity:
+    def test_rounding_above_one_is_clamped(self):
+        state = np.full(3, 1.0 / math.sqrt(3.0), dtype=complex)
+        assert abs(np.vdot(state, state)) ** 2 > 1.0
+        traj = Trajectory(times=np.array([0.0]), states=state[None, :])
+        assert traj.fidelity_to(state) == 1.0
+
+    def test_nan_is_not_hidden(self):
+        state = np.array([np.nan, 0.0, 0.0], dtype=complex)
+        traj = Trajectory(times=np.array([0.0]), states=state[None, :])
+        assert math.isnan(traj.fidelity_to([1.0, 0.0, 0.0]))
+
+
 class TestObservables:
     def test_theta_kappa_direct_readoff(self):
         traj = snapshot_trajectory(

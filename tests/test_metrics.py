@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,11 +143,76 @@ class TestRatioSurface:
         assert np.all(surface.mu[i] ** 2 + surface.eta[j] ** 2 > 1.0)
 
     def test_rows_layout(self, surface):
-        rows = list(surface.rows())
-        assert len(rows) == 50 * 50
-        assert rows[0][:2] == (0.0, 0.0)
-        assert rows[49][1] == 1.0
+        mu, eta, omega, energy = surface.columns()
+        assert len(mu) == len(eta) == len(omega) == len(energy) == 50 * 50
+        assert (mu[0], eta[0]) == (0.0, 0.0)
+        assert eta[49] == 1.0
 
     def test_resolution_guard(self):
         with pytest.raises(InvalidInputError):
             ratio_surface(5)
+
+
+def scalar_surface(resolution):
+    """The surface as a double loop over the scalar closed form."""
+    mu = np.linspace(0.0, 1.0, resolution)
+    omega = np.zeros((resolution, resolution))
+    energy = np.zeros((resolution, resolution))
+    mask = np.zeros((resolution, resolution), dtype=bool)
+    for i, m in enumerate(mu):
+        for j, e in enumerate(mu):
+            if e**2 + m**2 > 1.0 + 1e-12:
+                mask[i, j] = True
+                continue
+            omega[i, j], energy[i, j] = mode_comparison_ratio(m, e)
+    return omega, energy, mask
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestVectorizedSurface:
+    @pytest.mark.parametrize("resolution", [10, 50, 101, 200])
+    def test_bit_for_bit_with_scalar(self, resolution):
+        # a pure-numpy kernel fails here on hosts whose SIMD arcsin/arctan2
+        # differ from libm by one ulp: the surface must use libm throughout
+        s = ratio_surface(resolution)
+        omega, energy, mask = scalar_surface(resolution)
+        assert np.array_equal(s.mask, mask)
+        assert same_bits(s.omega_ratio, omega)
+        assert same_bits(s.energy_ratio, energy)
+        assert np.all(s.omega_ratio[mask] == 0.0)
+        assert np.all(s.energy_ratio[mask] == 0.0)
+
+    def test_fig10_ill_conditioned_point(self):
+        # (mu, eta) = (33/49, 28/49) on fig. 10's grid: the arcsin argument
+        # eta / sin(theta0) is 1 to the last bit, where one ulp of it moves
+        # the ratio by ~6e-9
+        s = ratio_surface(50)
+        mu, eta = s.mu[33], s.eta[28]
+        assert (mu, eta) == (33 / 49, 28 / 49)
+        nu = math.sqrt(1.0 - mu**2 - eta**2)
+        target = TargetState.normalized(mu, eta, nu)
+        theta0 = solve_multimode_boundary(target).theta0
+        arg = target.eta / math.sin(theta0)
+        assert abs(arg - 1.0) <= 2.3e-16
+        below = abs(math.asin(target.eta) - math.pi / 2) / (
+            math.pi - math.asin(min(1.0, np.nextafter(arg, 0.0)))
+        )
+        omega, energy = mode_comparison_ratio(mu, eta)
+        assert abs(below - omega) > 1e-9
+        assert (s.omega_ratio[33, 28], s.energy_ratio[33, 28]) == (omega, energy)
+
+    def test_identity_corner(self):
+        s = ratio_surface(10)
+        assert (s.omega_ratio[-1, 0], s.energy_ratio[-1, 0]) == (0.5, 0.25)
+
+    def test_memory_is_blocked(self):
+        tracemalloc.start()
+        try:
+            ratio_surface(200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
