@@ -1,22 +1,23 @@
 """Orthonormal moving-state families for three- and four-level systems.
 
-Each family is parameterized by two angle functions theta(t), phi(t) and,
-for the phased family, two additional phase functions gamma(t), kappa(t).
-Basis vectors are closed-form functions of the schedule so Hamiltonians can
-be assembled at arbitrary integrator times, one time or a whole time grid per
-call; the angle functions carry their analytic derivatives as first-class
-data.
+Each family is parameterized by two angles theta(t), phi(t) and, for the
+phased family, two additional phases gamma(t), kappa(t).  Every angle is a
+cubic polynomial, so an ``AngleSchedule`` is plain data and its derivatives
+are those of the cubics, exact by construction.  Basis vectors are
+closed-form functions of the schedule so Hamiltonians can be assembled at
+arbitrary integrator times, one time or a whole time grid per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, WrongFamilyError
+from .schedules import CubicPolynomial
 
 ORTHONORMALITY_TOL = 1e-12
 
@@ -25,23 +26,6 @@ class BasisFamily(Enum):
     THREE_REAL = "three-real"
     THREE_PHASED = "three-phased"
     FOUR_LEVEL = "four-level"
-
-
-def zero_function(t):
-    """The identically-zero angle (also its own derivative)."""
-    return np.zeros_like(np.asarray(t, dtype=float))
-
-
-def constant_function(value: float) -> Callable:
-    def f(t):
-        return np.full_like(np.asarray(t, dtype=float), value)
-
-    return f
-
-
-def _sample(f: Callable, t):
-    """f(t) as floats; a NumPy scalar (cheap arithmetic) when t is a scalar."""
-    return np.asarray(f(t), dtype=float)[()]
 
 
 def _matrix(entries, shape: tuple) -> np.ndarray:
@@ -59,65 +43,46 @@ def _matrix(entries, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AngleSchedule:
-    """Angle functions theta, phi, gamma, kappa with analytic derivatives.
+    """Cubic angles theta, phi, gamma, kappa on [t0, tf].
 
-    All functions must be finite and continuously differentiable on
-    [t0, tf]; ``validate_derivatives`` checks each stored derivative
-    against a high-order central difference of its function.
+    phi, gamma and kappa default to the zero cubic.  ``dtheta``, ``dphi``,
+    ``dgamma`` and ``dkappa`` are the derivatives of the cubics.
     """
 
     t0: float
     tf: float
-    theta: Callable
-    dtheta: Callable
-    phi: Callable = zero_function
-    dphi: Callable = zero_function
-    gamma: Callable = zero_function
-    dgamma: Callable = zero_function
-    kappa: Callable = zero_function
-    dkappa: Callable = zero_function
+    theta: CubicPolynomial
+    phi: CubicPolynomial | None = None
+    gamma: CubicPolynomial | None = None
+    kappa: CubicPolynomial | None = None
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
             raise InvalidInputError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        zero = CubicPolynomial(0.0, 0.0, 0.0, 0.0, self.t0, self.tf)
+        for name in ("phi", "gamma", "kappa"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, zero)
 
-    def is_phase_free(self, samples: int = 101) -> bool:
-        t = np.linspace(self.t0, self.tf, samples)
-        return bool(
-            np.all(np.abs(self.gamma(t)) < 1e-14)
-            and np.all(np.abs(self.kappa(t)) < 1e-14)
-        )
+    @property
+    def dtheta(self):
+        return self.theta.derivative
 
-    def validate_derivatives(self, samples: int = 1001, rtol: float = 1e-6) -> None:
-        """Check stored derivatives against a central finite difference.
+    @property
+    def dphi(self):
+        return self.phi.derivative
 
-        A Richardson-refined central stencil is used so smooth schedules
-        (polynomial and trigonometric) pass at the 1e-6 level regardless
-        of the interval length.
-        """
-        pairs = (
-            ("theta", self.theta, self.dtheta),
-            ("phi", self.phi, self.dphi),
-            ("gamma", self.gamma, self.dgamma),
-            ("kappa", self.kappa, self.dkappa),
-        )
-        t = np.linspace(self.t0, self.tf, samples)
-        h = (self.tf - self.t0) / (samples - 1)
-        inner = t[2:-2]
-        for name, f, df in pairs:
-            vals = np.asarray(f(t), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                raise InvalidInputError(f"{name}(t) is not finite on the grid")
-            fd = (8.0 * (f(inner + h) - f(inner - h))
-                  - (f(inner + 2 * h) - f(inner - 2 * h))) / (12.0 * h)
-            analytic = np.asarray(df(inner), dtype=float)
-            scale = max(1.0, float(np.max(np.abs(analytic), initial=0.0)))
-            err = float(np.max(np.abs(fd - analytic), initial=0.0)) / scale
-            if err > rtol:
-                raise InvalidInputError(
-                    f"stored derivative of {name} deviates from finite "
-                    f"difference by relative error {err:.3e} > {rtol:.1e}"
-                )
+    @property
+    def dgamma(self):
+        return self.gamma.derivative
+
+    @property
+    def dkappa(self):
+        return self.kappa.derivative
+
+    def is_phase_free(self) -> bool:
+        """True when gamma and kappa are the zero cubic."""
+        return not any(self.gamma.coefficients + self.kappa.coefficients)
 
 
 @dataclass(frozen=True)
@@ -197,7 +162,7 @@ class MovingBasis:
         ``t`` of shape S gives shape S + (d, d); a scalar gives (d, d).
         """
         s = self.schedule
-        th, ph = _sample(s.theta, t), _sample(s.phi, t)
+        th, ph = s.theta(t), s.phi(t)
         c, sn = np.cos(th), np.sin(th)
         cp, sp = np.cos(ph), np.sin(ph)
         if self.family is BasisFamily.THREE_REAL:
@@ -210,8 +175,8 @@ class MovingBasis:
                 np.shape(t),
             )
         if self.family is BasisFamily.THREE_PHASED:
-            eg = np.exp(1j * _sample(s.gamma, t))
-            ek = np.exp(1j * _sample(s.kappa, t))
+            eg = np.exp(1j * s.gamma(t))
+            ek = np.exp(1j * s.kappa(t))
             return _matrix(
                 [
                     [sn * cp, eg * sp, ek * c * cp],
@@ -236,8 +201,8 @@ class MovingBasis:
         Same shape convention as ``vectors``.
         """
         s = self.schedule
-        th, ph = _sample(s.theta, t), _sample(s.phi, t)
-        dth, dph = _sample(s.dtheta, t), _sample(s.dphi, t)
+        th, ph = s.theta(t), s.phi(t)
+        dth, dph = s.dtheta(t), s.dphi(t)
         c, sn = np.cos(th), np.sin(th)
         cp, sp = np.cos(ph), np.sin(ph)
         if self.family is BasisFamily.THREE_REAL:
@@ -258,10 +223,9 @@ class MovingBasis:
                 np.shape(t),
             )
         if self.family is BasisFamily.THREE_PHASED:
-            g, k = _sample(s.gamma, t), _sample(s.kappa, t)
-            dg, dk = _sample(s.dgamma, t), _sample(s.dkappa, t)
-            eg = np.exp(1j * g)
-            ek = np.exp(1j * k)
+            dg, dk = s.dgamma(t), s.dkappa(t)
+            eg = np.exp(1j * s.gamma(t))
+            ek = np.exp(1j * s.kappa(t))
             return _matrix(
                 [
                     [
@@ -307,10 +271,6 @@ class MovingBasis:
             ],
             np.shape(t),
         )
-
-    def gram(self, t: float) -> np.ndarray:
-        b = self.vectors(t)
-        return b.conj() @ b.T
 
     def completeness_defect(self, t: float) -> float:
         b = self.vectors(t)

@@ -31,6 +31,9 @@ from .errors import (
     UsageError,
 )
 from .protocols import (
+    _SQ2,
+    _SQ3,
+    _SQ6,
     Branch,
     Design,
     Protocol,
@@ -55,10 +58,6 @@ CSV_CHUNK_ROWS = 1024
 
 PULSE_HEADER = ["t", "omega_p", "omega_s", "omega_a"]
 SURFACE_HEADER = ["mu", "eta", "omega_ratio", "energy_ratio"]
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_SQ3 = 1.0 / math.sqrt(3.0)
-_SQ6 = 1.0 / math.sqrt(6.0)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -309,97 +308,76 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+_I, _II = Protocol.SINGLE_MODE_I, Protocol.SINGLE_MODE_II
+_NOMW, _MULTI = Protocol.SINGLE_MODE_II_NO_MICROWAVE, Protocol.MULTI_MODE
+
+# figure -> [(file stem, "pulses" or "traj", protocol, (mu, eta, nu),
+# request overrides)].  Figure 10 (the ratio surface) and figure 13 (the
+# cavity Hamiltonian) run differently, in _figure_runs.
+FIGURES = {
+    1: [("fig1a_pulses", "pulses", _I, (_SQ2, 0.0, _SQ2), {}),
+        ("fig1b_populations", "traj", _I, (_SQ2, 0.0, _SQ2), {})],
+    2: [(f"fig2_populations_T{tag}", "traj", _I, (0.0, 0.0, 1.0), {"tf": T})
+        for T, tag in [(0.1, "0.1"), (1.0, "1"), (10.0, "10")]],
+    3: [(f"fig3{tag}_fidelities", "traj", _I, (_SQ2, 0.0, _SQ2), {"branch": b})
+        for tag, b in [("a", Branch.ARCSIN_PLUS), ("b", Branch.ARCCOS_MINUS),
+                       ("c", Branch.ARCCOS_PLUS), ("d", Branch.ARCSIN_MINUS)]],
+    4: [("fig4a_pulses", "pulses", _II, (0.0, _SQ2, _SQ2), {}),
+        ("fig4b_pulses", "pulses", _II, (_SQ3, _SQ3, _SQ3), {})],
+    5: [("fig5a_populations", "traj", _II, (0.0, _SQ2, _SQ2), {}),
+        ("fig5b_populations", "traj", _II, (_SQ3, _SQ3, _SQ3), {})],
+    6: [("fig6a_pulses", "pulses", _NOMW, (_SQ2, 0.0, _SQ2), {}),
+        ("fig6b_pulses", "pulses", _NOMW, (_SQ6, _SQ3, _SQ2), {})],
+    7: [("fig7a_populations", "traj", _NOMW, (_SQ2, 0.0, _SQ2), {}),
+        ("fig7b_populations", "traj", _NOMW, (_SQ6, _SQ3, _SQ2), {})],
+    8: [("fig8a_pulses", "pulses", _MULTI, (_SQ3, _SQ3, _SQ3), {}),
+        ("fig8b_populations", "traj", _MULTI, (_SQ3, _SQ3, _SQ3), {})],
+    9: [(f"fig9{tag}_populations", "traj", _MULTI, amplitudes, {})
+        for tag, amplitudes in [("a", (0.0, 0.0, 1.0)), ("b", (0.0, _SQ2, _SQ2)),
+                                ("c", (_SQ2, 0.5, 0.5)), ("d", (_SQ2, 0.0, _SQ2))]],
+    11: [("fig11_bloch", "traj", Protocol.PHASED, (_SQ2, 0.0, _SQ2), {})],
+    12: [("fig12_angles", "traj", Protocol.PHASED, (_SQ2, 0.0, _SQ2), {})],
+}
+
+
 def _figure_runs(args):
-    """Designs/trajectories behind each figure, keyed by figure number.
+    """Write the data files behind one figure.
 
     ``--T`` is the duration of every figure with a single one; figure 2
     compares three fixed durations and figure 10 has none.
     """
     out = Path(args.out)
-    steps = args.steps
-
-    def run(protocol, mu, eta, nu, name, kind, tf=args.T, branch=Branch.LEAST_ENERGY,
-            initial=None, lambda_rate=None):
-        request = ProtocolRequest(
-            protocol=protocol,
-            target=TargetState.normalized(mu, eta, nu),
-            initial_state=initial,
-            tf=tf,
-            branch=branch,
-            lambda_rate=lambda_rate,
-        )
-        dsg = design(request)
-        if kind == "pulses":
-            _write_csv(out / f"{name}.csv", PULSE_HEADER,
-                       dsg.pulses.sample(steps + 1))
-        else:
-            traj = evolve(dsg.hamiltonian, dsg.initial_state, request.t0,
-                          request.tf, steps=steps)
-            _write_trajectory(out, name, dsg, traj)
-
     fig = args.figure
-    if fig == 1:
-        run(Protocol.SINGLE_MODE_I, _SQ2, 0.0, _SQ2, "fig1a_pulses", "pulses")
-        run(Protocol.SINGLE_MODE_I, _SQ2, 0.0, _SQ2, "fig1b_populations", "traj")
-    elif fig == 2:
-        if args.T != 1.0:
-            raise UsageError(
-                f"figure 2 compares the durations 0.1, 1 and 10; --T {args.T} "
-                "does not apply"
-            )
-        for T, tag in [(0.1, "0.1"), (1.0, "1"), (10.0, "10")]:
-            run(Protocol.SINGLE_MODE_I, 0.0, 0.0, 1.0,
-                f"fig2_populations_T{tag}", "traj", tf=T)
-    elif fig == 3:
-        branches = [
-            ("a", Branch.ARCSIN_PLUS),
-            ("b", Branch.ARCCOS_MINUS),
-            ("c", Branch.ARCCOS_PLUS),
-            ("d", Branch.ARCSIN_MINUS),
-        ]
-        for tag, branch in branches:
-            run(Protocol.SINGLE_MODE_I, _SQ2, 0.0, _SQ2,
-                f"fig3{tag}_fidelities", "traj", branch=branch)
-    elif fig in (4, 5):
-        kind = "pulses" if fig == 4 else "traj"
-        label = "pulses" if fig == 4 else "populations"
-        run(Protocol.SINGLE_MODE_II, 0.0, _SQ2, _SQ2, f"fig{fig}a_{label}", kind)
-        run(Protocol.SINGLE_MODE_II, _SQ3, _SQ3, _SQ3, f"fig{fig}b_{label}", kind)
-    elif fig in (6, 7):
-        kind = "pulses" if fig == 6 else "traj"
-        label = "pulses" if fig == 6 else "populations"
-        run(Protocol.SINGLE_MODE_II_NO_MICROWAVE, _SQ2, 0.0, _SQ2,
-            f"fig{fig}a_{label}", kind)
-        run(Protocol.SINGLE_MODE_II_NO_MICROWAVE, _SQ6, _SQ3, _SQ2,
-            f"fig{fig}b_{label}", kind)
-    elif fig == 8:
-        run(Protocol.MULTI_MODE, _SQ3, _SQ3, _SQ3, "fig8a_pulses", "pulses")
-        run(Protocol.MULTI_MODE, _SQ3, _SQ3, _SQ3, "fig8b_populations", "traj")
-    elif fig == 9:
-        cases = [
-            ("a", 0.0, 0.0, 1.0),
-            ("b", 0.0, _SQ2, _SQ2),
-            ("c", _SQ2, 0.5, 0.5),
-            ("d", _SQ2, 0.0, _SQ2),
-        ]
-        for tag, mu, eta, nu in cases:
-            run(Protocol.MULTI_MODE, mu, eta, nu, f"fig9{tag}_populations", "traj")
-    elif fig == 10:
+    if fig == 10:
         surface = metrics_mod.ratio_surface(args.resolution)
         _write_csv(out / "fig10_ratio_surface.csv", SURFACE_HEADER,
                    surface.columns())
-    elif fig in (11, 12):
-        run(Protocol.PHASED, _SQ2, 0.0, _SQ2,
-            "fig11_bloch" if fig == 11 else "fig12_angles", "traj")
-    elif fig == 13:
+        return EXIT_OK
+    if fig == 13:
         request = preset_targets("cavity-bell", tf=args.T)
         dsg = design(request)
-        cavity = cavity_qed_hamiltonian(dsg.pulses)
-        traj = evolve(cavity, dsg.initial_state, request.t0, request.tf,
-                      steps=steps)
+        traj = evolve(cavity_qed_hamiltonian(dsg.pulses), dsg.initial_state,
+                      request.t0, request.tf, steps=args.steps)
         _write_trajectory(out, "fig13_populations", dsg, traj)
-    else:
+        return EXIT_OK
+    if fig not in FIGURES:
         raise UsageError(f"figure must be 1..13, got {fig}")
+    if fig == 2 and args.T != 1.0:
+        raise UsageError(
+            f"figure 2 compares the durations 0.1, 1 and 10; --T {args.T} "
+            "does not apply"
+        )
+    for stem, kind, protocol, amplitudes, overrides in FIGURES[fig]:
+        request = ProtocolRequest(protocol, TargetState.normalized(*amplitudes),
+                                  **{"tf": args.T, **overrides})
+        dsg = design(request)
+        if kind == "pulses":
+            _write_csv(out / f"{stem}.csv", PULSE_HEADER,
+                       dsg.pulses.sample(args.steps + 1))
+        else:
+            traj = evolve(dsg.hamiltonian, dsg.initial_state, request.t0,
+                          request.tf, steps=args.steps)
+            _write_trajectory(out, stem, dsg, traj)
     return EXIT_OK
 
 

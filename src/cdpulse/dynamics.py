@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .basis import AngleSchedule, MovingBasis, build_phased_basis
+from .basis import AngleSchedule, MovingBasis
 from .errors import (
     IntegrationAccuracyError,
     InvalidInputError,
@@ -113,13 +113,6 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     )
 
 
-def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
-    """Three-level Hamiltonian of the phased family, including the
-    diagonal entries -dgamma and -dkappa."""
-    spec = hamiltonian_from_basis(build_phased_basis(schedule))
-    return HamiltonianSpec(3, spec.evaluator, source="phased")
-
-
 def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     """Closed-form four-level counterdiabatic matrix.
 
@@ -166,11 +159,6 @@ class Trajectory:
     def populations(self) -> np.ndarray:
         """P_n(t) = |<n|psi(t)>|^2, one column per bare state."""
         return np.abs(self.states) ** 2
-
-    @property
-    def fidelities(self) -> np.ndarray:
-        """Complex overlaps F_n(t) = <n|psi(t)> (the state components)."""
-        return self.states
 
     @property
     def norms(self) -> np.ndarray:

@@ -10,9 +10,9 @@ a multi-mode route transports a fixed superposition of moving states from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .basis import (
     MovingBasis,
     build_phased_basis,
     build_three_real_basis,
-    constant_function,
-    zero_function,
 )
 from .dynamics import HamiltonianSpec, hamiltonian_from_basis, lambda_hamiltonian
 from .errors import (
@@ -36,6 +34,10 @@ from .schedules import CubicBoundary, CubicPolynomial, fit_cubic
 
 NORM_TOL = 1e-12
 BOUNDARY_RESIDUAL_TOL = 1e-10
+
+_SQ2 = 1.0 / math.sqrt(2.0)
+_SQ3 = 1.0 / math.sqrt(3.0)
+_SQ6 = 1.0 / math.sqrt(6.0)
 
 
 class Protocol(Enum):
@@ -165,20 +167,72 @@ class MultiModeSolution:
         return self.phi_f
 
 
+def _no_drive(t) -> np.ndarray:
+    return np.zeros(np.shape(t))
+
+
 @dataclass(frozen=True)
 class Design:
-    """A finished design: schedule, pulses, Hamiltonian, and bookkeeping."""
+    """A finished design as plain data: protocol, angle schedule, bookkeeping.
+
+    The moving basis, the pulses and the Hamiltonian are derived from the
+    schedule on each access.
+    """
 
     protocol: Protocol
     schedule: AngleSchedule
-    pulses: PulseSet
-    hamiltonian: HamiltonianSpec
     initial_state: np.ndarray
     target_vector: np.ndarray
     boundary: dict
-    basis: Optional[MovingBasis] = None
-    mode_index: Optional[int] = None
-    mode_coefficients: Optional[tuple] = None
+    mode_coefficients: tuple
+
+    @property
+    def basis(self) -> MovingBasis:
+        if self.protocol is Protocol.PHASED:
+            return build_phased_basis(self.schedule)
+        return build_three_real_basis(self.schedule)
+
+    @property
+    def pulses(self) -> PulseSet:
+        """Omega_p = dphi*sin(theta), Omega_s = dphi*cos(theta), Omega_a = -dtheta.
+
+        The phased family uses Omega_a = +dtheta.  An angle that does not
+        move contributes exact +0.0 pulses.
+        """
+        s = self.schedule
+        omega_p = omega_s = omega_a = _no_drive
+        if not s.phi.is_constant and s.theta.is_constant:
+            # a frozen theta splits dphi in a fixed ratio; one libm sin and
+            # cos keep the cost quadrature cheap and the pulse files free of
+            # numpy's vectorized sin
+            sin_theta, cos_theta = math.sin(s.theta.a0), math.cos(s.theta.a0)
+
+            def omega_p(t):
+                return s.dphi(t) * sin_theta
+
+            def omega_s(t):
+                return s.dphi(t) * cos_theta
+
+        elif not s.phi.is_constant:
+            def omega_p(t):
+                return s.dphi(t) * np.sin(s.theta(t))
+
+            def omega_s(t):
+                return s.dphi(t) * np.cos(s.theta(t))
+
+        if not s.theta.is_constant:
+            sign = 1.0 if self.protocol is Protocol.PHASED else -1.0
+
+            def omega_a(t):
+                return sign * s.dtheta(t)
+
+        return PulseSet(omega_p, omega_s, omega_a, s.t0, s.tf)
+
+    @property
+    def hamiltonian(self) -> HamiltonianSpec:
+        if self.protocol is Protocol.PHASED:
+            return hamiltonian_from_basis(self.basis)
+        return lambda_hamiltonian(self.pulses)
 
 
 def _bare_state(index: int, dimension: int = 3) -> np.ndarray:
@@ -211,26 +265,9 @@ def _check_initial(request: ProtocolRequest, required_index: int) -> np.ndarray:
     return vec
 
 
-def _cubic_schedule_pair(
-    theta_poly: CubicPolynomial | None,
-    theta_const: float | None,
-    phi_poly: CubicPolynomial | None,
-    phi_const: float | None,
-    t0: float,
-    tf: float,
-    **extra,
-) -> AngleSchedule:
-    if theta_poly is not None:
-        theta, dtheta = theta_poly, theta_poly.derivative
-    else:
-        theta, dtheta = constant_function(theta_const or 0.0), zero_function
-    if phi_poly is not None:
-        phi, dphi = phi_poly, phi_poly.derivative
-    else:
-        phi, dphi = constant_function(phi_const or 0.0), zero_function
-    return AngleSchedule(
-        t0=t0, tf=tf, theta=theta, dtheta=dtheta, phi=phi, dphi=dphi, **extra
-    )
+def _angle(request: ProtocolRequest, start: float, end: float) -> CubicPolynomial:
+    """The zero-slope cubic from ``start`` at t0 to ``end`` at tf."""
+    return fit_cubic(CubicBoundary(request.t0, request.tf, start, end))
 
 
 def select_branch(mu: float, nu: float, branch: Branch) -> float:
@@ -270,33 +307,15 @@ def design_protocol_I(request: ProtocolRequest) -> Design:
         )
     initial = _check_initial(request, 1)
     theta_T = select_branch(tgt.mu, tgt.nu, request.branch)
-    poly = fit_cubic(CubicBoundary(request.t0, request.tf, 0.0, theta_T))
-    schedule = _cubic_schedule_pair(poly, None, None, 0.0, request.t0, request.tf)
-    dtheta = poly.derivative
-    pulses = PulseSet(
-        omega_p=zero_function,
-        omega_s=zero_function,
-        omega_a=lambda t: -dtheta(t),
-        t0=request.t0,
-        tf=request.tf,
-    )
-    target_vector = np.array([math.cos(theta_T), 0.0, math.sin(theta_T)], dtype=complex)
     return Design(
         protocol=request.protocol,
-        schedule=schedule,
-        pulses=pulses,
-        hamiltonian=lambda_hamiltonian(pulses),
+        schedule=AngleSchedule(request.t0, request.tf,
+                               theta=_angle(request, 0.0, theta_T)),
         initial_state=initial,
-        target_vector=target_vector,
-        boundary={
-            "theta_0": 0.0,
-            "theta_f": theta_T,
-            "phi_0": 0.0,
-            "phi_f": 0.0,
-            "branch": request.branch.value,
-        },
-        basis=build_three_real_basis(schedule),
-        mode_index=1,
+        target_vector=np.array([math.cos(theta_T), 0.0, math.sin(theta_T)],
+                               dtype=complex),
+        boundary={"theta_0": 0.0, "theta_f": theta_T, "phi_0": 0.0, "phi_f": 0.0,
+                  "branch": request.branch.value},
         mode_coefficients=(1.0, 0.0, 0.0),
     )
 
@@ -309,31 +328,16 @@ def design_protocol_II(request: ProtocolRequest) -> Design:
     _require_nonnegative(tgt)
     initial = _check_initial(request, 1)
     chi = math.atan2(tgt.mu, tgt.nu)  # arctan(mu/nu); pi/2 limit at nu = 0
-    theta_poly = fit_cubic(CubicBoundary(request.t0, request.tf, math.pi / 2.0, chi))
-    phi_poly = fit_cubic(
-        CubicBoundary(request.t0, request.tf, 0.0, math.asin(tgt.eta))
-    )
-    schedule = _cubic_schedule_pair(
-        theta_poly, None, phi_poly, None, request.t0, request.tf
-    )
-    pulses = _lambda_pulses(schedule)
-    target_vector = np.array([tgt.mu, tgt.eta, -tgt.nu], dtype=complex)
+    phi_f = math.asin(tgt.eta)
     return Design(
         protocol=request.protocol,
-        schedule=schedule,
-        pulses=pulses,
-        hamiltonian=lambda_hamiltonian(pulses),
+        schedule=AngleSchedule(request.t0, request.tf,
+                               theta=_angle(request, math.pi / 2.0, chi),
+                               phi=_angle(request, 0.0, phi_f)),
         initial_state=initial,
-        target_vector=target_vector,
-        boundary={
-            "theta_0": math.pi / 2.0,
-            "theta_f": chi,
-            "phi_0": 0.0,
-            "phi_f": math.asin(tgt.eta),
-            "chi": chi,
-        },
-        basis=build_three_real_basis(schedule),
-        mode_index=2,
+        target_vector=np.array([tgt.mu, tgt.eta, -tgt.nu], dtype=complex),
+        boundary={"theta_0": math.pi / 2.0, "theta_f": chi, "phi_0": 0.0,
+                  "phi_f": phi_f, "chi": chi},
         mode_coefficients=(0.0, 1.0, 0.0),
     )
 
@@ -348,38 +352,16 @@ def design_protocol_II_no_microwave(request: ProtocolRequest) -> Design:
     _require_nonnegative(tgt)
     initial = _check_initial(request, 2)
     chi = math.atan2(tgt.mu, tgt.nu)
-    phi_poly = fit_cubic(
-        CubicBoundary(request.t0, request.tf, math.pi / 2.0, math.asin(tgt.eta))
-    )
-    schedule = _cubic_schedule_pair(
-        None, chi, phi_poly, None, request.t0, request.tf
-    )
-    dphi = phi_poly.derivative
-    sin_chi, cos_chi = math.sin(chi), math.cos(chi)
-    pulses = PulseSet(
-        omega_p=lambda t: dphi(t) * sin_chi,
-        omega_s=lambda t: dphi(t) * cos_chi,
-        omega_a=zero_function,
-        t0=request.t0,
-        tf=request.tf,
-    )
-    target_vector = np.array([tgt.mu, tgt.eta, -tgt.nu], dtype=complex)
+    phi_f = math.asin(tgt.eta)
     return Design(
         protocol=request.protocol,
-        schedule=schedule,
-        pulses=pulses,
-        hamiltonian=lambda_hamiltonian(pulses),
+        schedule=AngleSchedule(request.t0, request.tf,
+                               theta=_angle(request, chi, chi),
+                               phi=_angle(request, math.pi / 2.0, phi_f)),
         initial_state=initial,
-        target_vector=target_vector,
-        boundary={
-            "theta_0": chi,
-            "theta_f": chi,
-            "phi_0": math.pi / 2.0,
-            "phi_f": math.asin(tgt.eta),
-            "chi": chi,
-        },
-        basis=build_three_real_basis(schedule),
-        mode_index=2,
+        target_vector=np.array([tgt.mu, tgt.eta, -tgt.nu], dtype=complex),
+        boundary={"theta_0": chi, "theta_f": chi, "phi_0": math.pi / 2.0,
+                  "phi_f": phi_f, "chi": chi},
         mode_coefficients=(0.0, 1.0, 0.0),
     )
 
@@ -430,38 +412,16 @@ def design_multimode(request: ProtocolRequest) -> Design:
     tgt = request.target
     initial = _check_initial(request, 1)
     solution = solve_multimode_boundary(tgt)
-    phi_poly = fit_cubic(
-        CubicBoundary(request.t0, request.tf, 0.0, solution.zeta)
-    )
-    schedule = _cubic_schedule_pair(
-        None, solution.theta0, phi_poly, None, request.t0, request.tf
-    )
-    dphi = phi_poly.derivative
-    s0, c0 = math.sin(solution.theta0), math.cos(solution.theta0)
-    pulses = PulseSet(
-        omega_p=lambda t: dphi(t) * s0,
-        omega_s=lambda t: dphi(t) * c0,
-        omega_a=zero_function,
-        t0=request.t0,
-        tf=request.tf,
-    )
-    target_vector = np.array([tgt.mu, tgt.eta, tgt.nu], dtype=complex)
     return Design(
         protocol=request.protocol,
-        schedule=schedule,
-        pulses=pulses,
-        hamiltonian=lambda_hamiltonian(pulses),
+        schedule=AngleSchedule(request.t0, request.tf,
+                               theta=_angle(request, solution.theta0, solution.theta_f),
+                               phi=_angle(request, solution.phi0, solution.zeta)),
         initial_state=initial,
-        target_vector=target_vector,
-        boundary={
-            "theta_0": solution.theta0,
-            "theta_f": solution.theta_f,
-            "phi_0": solution.phi0,
-            "phi_f": solution.phi_f,
-            "zeta": solution.zeta,
-        },
-        basis=build_three_real_basis(schedule),
-        mode_index=None,
+        target_vector=np.array([tgt.mu, tgt.eta, tgt.nu], dtype=complex),
+        boundary={"theta_0": solution.theta0, "theta_f": solution.theta_f,
+                  "phi_0": solution.phi0, "phi_f": solution.phi_f,
+                  "zeta": solution.zeta},
         mode_coefficients=solution.mode_coefficients,
     )
 
@@ -489,64 +449,20 @@ def design_phased(request: ProtocolRequest) -> Design:
     initial = _check_initial(request, 3)
     T = request.duration
     lam = request.lambda_rate if request.lambda_rate is not None else 0.5 / T
-    theta_poly = fit_cubic(
-        CubicBoundary(request.t0, request.tf, 0.0, math.asin(tgt.mu))
-    )
-    t0 = request.t0
-    kappa = lambda t: lam * math.pi * (np.asarray(t, dtype=float) - t0)
-    dkappa = constant_function(lam * math.pi)
-    schedule = _cubic_schedule_pair(
-        theta_poly,
-        None,
-        None,
-        0.0,
-        request.t0,
-        request.tf,
-        kappa=kappa,
-        dkappa=dkappa,
-    )
-    basis = build_phased_basis(schedule)
-    dtheta = theta_poly.derivative
-    pulses = PulseSet(
-        omega_p=zero_function,
-        omega_s=zero_function,
-        omega_a=dtheta,  # phased convention: Omega_a = +dtheta
-        t0=request.t0,
-        tf=request.tf,
-    )
+    theta_f = math.asin(tgt.mu)
     kappa_f = lam * math.pi * T
-    target_vector = np.array(
-        [tgt.mu, 0.0, np.exp(1j * kappa_f) * tgt.nu], dtype=complex
-    )
     return Design(
         protocol=request.protocol,
-        schedule=schedule,
-        pulses=pulses,
-        hamiltonian=hamiltonian_from_basis(basis),
+        schedule=AngleSchedule(
+            request.t0, request.tf, theta=_angle(request, 0.0, theta_f),
+            kappa=CubicPolynomial(0.0, lam * math.pi, 0.0, 0.0, request.t0, request.tf),
+        ),
         initial_state=initial,
-        target_vector=target_vector,
-        boundary={
-            "theta_0": 0.0,
-            "theta_f": math.asin(tgt.mu),
-            "phi_0": 0.0,
-            "phi_f": 0.0,
-            "kappa_f": kappa_f,
-            "lambda": lam,
-        },
-        basis=basis,
-        mode_index=1,
+        target_vector=np.array([tgt.mu, 0.0, np.exp(1j * kappa_f) * tgt.nu],
+                               dtype=complex),
+        boundary={"theta_0": 0.0, "theta_f": theta_f, "phi_0": 0.0, "phi_f": 0.0,
+                  "kappa_f": kappa_f, "lambda": lam},
         mode_coefficients=(1.0, 0.0, 0.0),
-    )
-
-
-def _lambda_pulses(schedule: AngleSchedule) -> PulseSet:
-    """Omega_p = dphi*sin(theta), Omega_s = dphi*cos(theta), Omega_a = -dtheta."""
-    return PulseSet(
-        omega_p=lambda t: schedule.dphi(t) * np.sin(schedule.theta(t)),
-        omega_s=lambda t: schedule.dphi(t) * np.cos(schedule.theta(t)),
-        omega_a=lambda t: -schedule.dtheta(t),
-        t0=schedule.t0,
-        tf=schedule.tf,
     )
 
 
@@ -562,10 +478,6 @@ _DESIGNERS = {
 def design(request: ProtocolRequest) -> Design:
     """Dispatch a request to its protocol's designer."""
     return _DESIGNERS[request.protocol](request)
-
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_SQ3 = 1.0 / math.sqrt(3.0)
 
 
 def preset_targets(name: str, tf: float = 1.0) -> ProtocolRequest:

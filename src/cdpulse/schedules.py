@@ -48,6 +48,15 @@ class CubicPolynomial:
     t0: float
     tf: float
 
+    @property
+    def coefficients(self) -> tuple:
+        return (self.a0, self.a1, self.a2, self.a3)
+
+    @property
+    def is_constant(self) -> bool:
+        """True when a1 = a2 = a3 = 0 (a NaN coefficient counts as moving)."""
+        return not any(self.coefficients[1:])
+
     def __call__(self, t):
         s = np.asarray(t, dtype=float) - self.t0
         return self.a0 + s * (self.a1 + s * (self.a2 + s * self.a3))

@@ -263,11 +263,9 @@ def test_11_property_suites():
         dsg = design_protocol_II(
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3))
         )
-        from cdpulse import phased_hamiltonian
-
         specs = [
             dsg.hamiltonian,
-            phased_hamiltonian(cubic_schedule(rng, phases=True)),
+            hamiltonian_from_basis(build_phased_basis(cubic_schedule(rng, phases=True))),
             four_level_hamiltonian(cubic_schedule(rng)),
         ]
         for spec in specs:

@@ -15,52 +15,22 @@ from cdpulse import (
     check_orthogonality_condition,
     fit_cubic,
 )
-from cdpulse.basis import constant_function, zero_function
 from cdpulse.errors import InvalidInputError, WrongFamilyError
 
 
 def cubic_schedule(rng, t0=0.0, tf=1.0, phases=False):
-    """A random smooth schedule with exact analytic derivatives."""
+    """A random cubic schedule (phases optional)."""
     theta = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.2, 1.2, size=2)))
     phi = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.2, 1.2, size=2)))
     extra = {}
     if phases:
         g = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.0, 1.0, size=2)))
         k = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.0, 1.0, size=2)))
-        extra = {
-            "gamma": g,
-            "dgamma": g.derivative,
-            "kappa": k,
-            "dkappa": k.derivative,
-        }
-    return AngleSchedule(
-        t0=t0,
-        tf=tf,
-        theta=theta,
-        dtheta=theta.derivative,
-        phi=phi,
-        dphi=phi.derivative,
-        **extra,
-    )
+        extra = {"gamma": g, "kappa": k}
+    return AngleSchedule(t0=t0, tf=tf, theta=theta, phi=phi, **extra)
 
 
 class TestAngleSchedule:
-    def test_validate_derivatives_accepts_exact(self):
-        rng = np.random.default_rng(11)
-        for tf in (0.1, 1.0, 10.0):
-            cubic_schedule(rng, tf=tf).validate_derivatives()
-
-    def test_validate_derivatives_rejects_wrong(self):
-        theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
-        bad = AngleSchedule(
-            t0=0.0,
-            tf=1.0,
-            theta=theta,
-            dtheta=lambda t: 1.1 * theta.derivative(t),
-        )
-        with pytest.raises(InvalidInputError):
-            bad.validate_derivatives()
-
     def test_phase_free_detection(self):
         rng = np.random.default_rng(1)
         assert cubic_schedule(rng).is_phase_free()
@@ -68,7 +38,9 @@ class TestAngleSchedule:
 
     def test_bad_interval(self):
         with pytest.raises(InvalidInputError):
-            AngleSchedule(t0=1.0, tf=1.0, theta=zero_function, dtheta=zero_function)
+            AngleSchedule(
+                t0=1.0, tf=1.0, theta=fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
+            )
 
 
 class TestOrthogonalityCondition:
@@ -142,10 +114,8 @@ class TestMovingBases:
         sched = AngleSchedule(
             t0=0.0,
             tf=1.0,
-            theta=constant_function(0.3),
-            dtheta=zero_function,
-            phi=constant_function(0.8),
-            dphi=zero_function,
+            theta=fit_cubic(CubicBoundary(0.0, 1.0, 0.3, 0.3)),
+            phi=fit_cubic(CubicBoundary(0.0, 1.0, 0.8, 0.8)),
         )
         b = build_three_real_basis(sched).vectors(0.5)
         c, s = math.cos(0.3), math.sin(0.3)

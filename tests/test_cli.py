@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,6 +8,7 @@ import pytest
 from cdpulse import cli
 from cdpulse.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from cdpulse.dynamics import HamiltonianSpec
+from cdpulse.protocols import Design
 
 
 def read_csv(path):
@@ -352,14 +352,7 @@ class TestConfigAndErrors:
         nan_spec = HamiltonianSpec(
             3, lambda t: np.full(np.shape(t) + (3, 3), np.nan)
         )
-        real_design = cli.design
-        monkeypatch.setattr(
-            cli,
-            "design",
-            lambda request: dataclasses.replace(
-                real_design(request), hamiltonian=nan_spec
-            ),
-        )
+        monkeypatch.setattr(Design, "hamiltonian", property(lambda self: nan_spec))
         code = main(
             ["evolve", "--protocol", "single-I", "--nu", "1.0", "--out", str(tmp_path)]
         )

@@ -15,12 +15,15 @@ from cdpulse import (
     ratio_surface,
     solve_multimode_boundary,
 )
-from cdpulse.basis import zero_function
 from cdpulse.errors import InvalidInputError
 from cdpulse.protocols import PulseSet
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
+
+
+def zero_function(t):
+    return np.zeros(np.shape(t))
 
 
 class TestDriveMetrics:

@@ -1,10 +1,15 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from cdpulse import (
+    AngleSchedule,
     Branch,
+    CubicPolynomial,
+    Design,
     Protocol,
     ProtocolRequest,
     TargetState,
@@ -14,6 +19,7 @@ from cdpulse import (
     design_protocol_I,
     design_protocol_II,
     design_protocol_II_no_microwave,
+    cavity_qed_hamiltonian,
     evolve,
     preset_targets,
     select_branch,
@@ -395,3 +401,96 @@ class TestDispatchAndPresets:
     def test_unknown_preset(self):
         with pytest.raises(InvalidInputError):
             preset_targets("beamsplit99")
+
+
+PLAIN_DATA_REQUESTS = {
+    "single-I": ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2)),
+    "single-I-identity": ProtocolRequest(
+        Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0)
+    ),
+    "single-II": ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3)),
+    "single-II-nomw": ProtocolRequest(
+        Protocol.SINGLE_MODE_II_NO_MICROWAVE,
+        TargetState.normalized(1.0 / math.sqrt(6.0), SQ3, SQ2),
+        initial_state=2,
+    ),
+    "multi": ProtocolRequest(Protocol.MULTI_MODE, TargetState(SQ3, SQ3, SQ3)),
+    "phased": ProtocolRequest(
+        Protocol.PHASED, TargetState(SQ2, 0.0, SQ2), tf=2.0, lambda_rate=-0.7
+    ),
+    "cavity-bell": preset_targets("cavity-bell"),
+}
+
+
+def _hamiltonian(name, dsg):
+    if name == "cavity-bell":
+        return cavity_qed_hamiltonian(dsg.pulses)
+    return dsg.hamiltonian
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPlainData:
+    @pytest.mark.parametrize("name", sorted(PLAIN_DATA_REQUESTS))
+    def test_pickle_round_trip_is_bit_identical(self, name):
+        dsg = design(PLAIN_DATA_REQUESTS[name])
+        copy = pickle.loads(pickle.dumps(dsg))
+        for a, b in zip(dsg.pulses.sample(401), copy.pulses.sample(401)):
+            assert _same_bits(a, b)
+        grid = np.linspace(dsg.schedule.t0, dsg.schedule.tf, 401)
+        h, h_copy = _hamiltonian(name, dsg), _hamiltonian(name, copy)
+        assert _same_bits(h.evaluator(grid), h_copy.evaluator(grid))
+        t0, tf = dsg.schedule.t0, dsg.schedule.tf
+        assert _same_bits(
+            evolve(h, dsg.initial_state, t0, tf, steps=400).states,
+            evolve(h_copy, copy.initial_state, t0, tf, steps=400).states,
+        )
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_DATA_REQUESTS))
+    def test_fields_hold_no_callable(self, name):
+        dsg = design(PLAIN_DATA_REQUESTS[name])
+        assert len(dataclasses.fields(Design)) == 6
+        assert not any(
+            callable(getattr(dsg, f.name)) for f in dataclasses.fields(Design)
+        )
+        assert len(dataclasses.fields(AngleSchedule)) == 6
+        for f in dataclasses.fields(AngleSchedule):
+            value = getattr(dsg.schedule, f.name)
+            if f.name in ("t0", "tf"):
+                assert isinstance(value, float)
+                continue
+            assert type(value) is CubicPolynomial
+            assert all(
+                isinstance(getattr(value, g.name), float)
+                for g in dataclasses.fields(CubicPolynomial)
+            )
+
+    @pytest.mark.parametrize(
+        "name, pulse",
+        [
+            ("single-II-nomw", "omega_a"),
+            ("multi", "omega_a"),
+            ("single-I", "omega_p"),
+            ("single-I", "omega_s"),
+            # theta runs from 0 to asin(0): no angle moves at all
+            ("single-I-identity", "omega_a"),
+        ],
+    )
+    def test_frozen_angle_pulse_is_positive_zero(self, name, pulse):
+        pulses = design(PLAIN_DATA_REQUESTS[name]).pulses
+        _, omega_p, omega_s, omega_a = pulses.sample(401)
+        values = {"omega_p": omega_p, "omega_s": omega_s, "omega_a": omega_a}[pulse]
+        assert np.all(values == 0.0)
+        assert not np.signbit(values).any()
+
+    @pytest.mark.parametrize("name", ["single-II-nomw", "multi"])
+    def test_frozen_theta_splits_dphi_with_libm(self, name):
+        dsg = design(PLAIN_DATA_REQUESTS[name])
+        t, omega_p, omega_s, _ = dsg.pulses.sample(401)
+        theta = dsg.boundary["theta_0"]
+        dphi = dsg.schedule.dphi(t)
+        assert _same_bits(omega_p, dphi * math.sin(theta))
+        assert _same_bits(omega_s, dphi * math.cos(theta))
