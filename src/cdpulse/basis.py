@@ -6,6 +6,9 @@ cubic polynomial, so an ``AngleSchedule`` is plain data and its derivatives
 are those of the cubics, exact by construction.  Basis vectors are
 closed-form functions of the schedule so Hamiltonians can be assembled at
 arbitrary integrator times, one time or a whole time grid per call.
+
+One set of row formulas in (cos a, sin a) of each angle a gives both the
+vectors and, by substituting (-sin a, cos a), their time derivatives.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import numpy as np
 from .errors import InvalidInputError, WrongFamilyError
 from .schedules import CubicPolynomial
 
-ORTHONORMALITY_TOL = 1e-12
-
 
 class BasisFamily(Enum):
     THREE_REAL = "three-real"
@@ -31,9 +32,11 @@ class BasisFamily(Enum):
 def _matrix(entries, shape: tuple) -> np.ndarray:
     """A nested (d, d) list of entries, each broadcast to ``shape``.
 
-    Returns shape + (d, d); entries may be scalars, such as a literal 0.0
-    or an angle function that returns a constant.
+    Returns shape + (d, d); entries may be scalars, such as a literal 0.0.
+    With shape () one ``np.array`` call is faster than filling item by item.
     """
+    if not shape:
+        return np.array(entries, dtype=complex)
     out = np.empty(shape + (len(entries), len(entries[0])), dtype=complex)
     for i, row in enumerate(entries):
         for j, value in enumerate(row):
@@ -60,9 +63,13 @@ class AngleSchedule:
         if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
             raise InvalidInputError(f"need tf > t0, got [{self.t0}, {self.tf}]")
         zero = CubicPolynomial(0.0, 0.0, 0.0, 0.0, self.t0, self.tf)
-        for name in ("phi", "gamma", "kappa"):
-            if getattr(self, name) is None:
+        for name in ("theta", "phi", "gamma", "kappa"):
+            cubic = getattr(self, name)
+            if cubic is None:
                 object.__setattr__(self, name, zero)
+            elif (cubic.t0, cubic.tf) != (self.t0, self.tf):
+                raise InvalidInputError(f"{name} is a cubic on [{cubic.t0}, "
+                                        f"{cubic.tf}], not on [{self.t0}, {self.tf}]")
 
     @property
     def dtheta(self):
@@ -156,127 +163,77 @@ class MovingBasis:
             self, "dimension", 4 if self.family is BasisFamily.FOUR_LEVEL else 3
         )
 
+    def _angles(self) -> tuple:
+        """The cubics this family depends on: theta, phi (, gamma, kappa)."""
+        s = self.schedule
+        if self.family is BasisFamily.THREE_PHASED:
+            return (s.theta, s.phi, s.gamma, s.kappa)
+        return (s.theta, s.phi)
+
+    def _rows(self, trig: list, shape: tuple) -> np.ndarray:
+        """Basis rows from one (cos a, sin a) pair per angle of ``_angles``.
+
+        Every entry is affine in each pair; ``vector_derivatives`` needs that.
+        """
+        (c, sn), (cp, sp) = trig[:2]
+        if self.family is BasisFamily.THREE_REAL:
+            entries = [
+                [c, 0.0, sn],
+                [sn * cp, sp, -c * cp],
+                [sn * sp, -cp, -c * sp],
+            ]
+        elif self.family is BasisFamily.THREE_PHASED:
+            (cg, sg), (ck, sk) = trig[2:]
+            # e^{ia} = cos a + i sin a; the imaginary part first keeps a
+            # scalar time in Python complex arithmetic, not numpy scalars
+            eg = 1j * sg + cg
+            ek = 1j * sk + ck
+            entries = [
+                [sn * cp, eg * sp, ek * c * cp],
+                [sn * sp, -eg * cp, ek * c * sp],
+                [c, 0.0, -ek * sn],
+            ]
+        else:
+            entries = [
+                [c * cp, c * sp, sn * cp, sn * sp],
+                [sn * cp, sn * sp, -c * cp, -c * sp],
+                [c * sp, -c * cp, sn * sp, -sn * cp],
+                [sn * sp, -sn * cp, -c * sp, c * cp],
+            ]
+        return _matrix(entries, shape)
+
+    def _trig(self, t) -> tuple:
+        """[(cos a, sin a)] for each angle of ``_angles`` at t, and t's shape."""
+        angles = [f(t) for f in self._angles()]
+        return [(np.cos(a), np.sin(a)) for a in angles], angles[0].shape
+
     def vectors(self, t) -> np.ndarray:
         """Basis vectors at time t, one per row.
 
         ``t`` of shape S gives shape S + (d, d); a scalar gives (d, d).
         """
-        s = self.schedule
-        th, ph = s.theta(t), s.phi(t)
-        c, sn = np.cos(th), np.sin(th)
-        cp, sp = np.cos(ph), np.sin(ph)
-        if self.family is BasisFamily.THREE_REAL:
-            return _matrix(
-                [
-                    [c, 0.0, sn],
-                    [sn * cp, sp, -c * cp],
-                    [sn * sp, -cp, -c * sp],
-                ],
-                np.shape(t),
-            )
-        if self.family is BasisFamily.THREE_PHASED:
-            eg = np.exp(1j * s.gamma(t))
-            ek = np.exp(1j * s.kappa(t))
-            return _matrix(
-                [
-                    [sn * cp, eg * sp, ek * c * cp],
-                    [sn * sp, -eg * cp, ek * c * sp],
-                    [c, 0.0, -ek * sn],
-                ],
-                np.shape(t),
-            )
-        return _matrix(
-            [
-                [c * cp, c * sp, sn * cp, sn * sp],
-                [sn * cp, sn * sp, -c * cp, -c * sp],
-                [c * sp, -c * cp, sn * sp, -sn * cp],
-                [sn * sp, -sn * cp, -c * sp, c * cp],
-            ],
-            np.shape(t),
-        )
+        return self._rows(*self._trig(t))
 
     def vector_derivatives(self, t) -> np.ndarray:
-        """Analytic time derivatives of the basis vectors, one per row.
+        """Time derivatives of the basis vectors, one per row.
 
-        Same shape convention as ``vectors``.
+        An entry affine in (cos a, sin a) has as its partial in a the same
+        entry with that pair replaced by (-sin a, cos a), less the entry
+        with it replaced by (0, 0).  Each partial is weighted by the rate of
+        its cubic.  Same shape convention as ``vectors``.
         """
-        s = self.schedule
-        th, ph = s.theta(t), s.phi(t)
-        dth, dph = s.dtheta(t), s.dphi(t)
-        c, sn = np.cos(th), np.sin(th)
-        cp, sp = np.cos(ph), np.sin(ph)
-        if self.family is BasisFamily.THREE_REAL:
-            return _matrix(
-                [
-                    [-sn * dth, 0.0, c * dth],
-                    [
-                        c * cp * dth - sn * sp * dph,
-                        cp * dph,
-                        sn * cp * dth + c * sp * dph,
-                    ],
-                    [
-                        c * sp * dth + sn * cp * dph,
-                        sp * dph,
-                        sn * sp * dth - c * cp * dph,
-                    ],
-                ],
-                np.shape(t),
-            )
-        if self.family is BasisFamily.THREE_PHASED:
-            dg, dk = s.dgamma(t), s.dkappa(t)
-            eg = np.exp(1j * s.gamma(t))
-            ek = np.exp(1j * s.kappa(t))
-            return _matrix(
-                [
-                    [
-                        c * cp * dth - sn * sp * dph,
-                        eg * (1j * dg * sp + cp * dph),
-                        ek * (1j * dk * c * cp - sn * cp * dth - c * sp * dph),
-                    ],
-                    [
-                        c * sp * dth + sn * cp * dph,
-                        -eg * (1j * dg * cp - sp * dph),
-                        ek * (1j * dk * c * sp - sn * sp * dth + c * cp * dph),
-                    ],
-                    [-sn * dth, 0.0, -ek * (1j * dk * sn + c * dth)],
-                ],
-                np.shape(t),
-            )
-        return _matrix(
-            [
-                [
-                    -sn * cp * dth - c * sp * dph,
-                    -sn * sp * dth + c * cp * dph,
-                    c * cp * dth - sn * sp * dph,
-                    c * sp * dth + sn * cp * dph,
-                ],
-                [
-                    c * cp * dth - sn * sp * dph,
-                    c * sp * dth + sn * cp * dph,
-                    sn * cp * dth + c * sp * dph,
-                    sn * sp * dth - c * cp * dph,
-                ],
-                [
-                    -sn * sp * dth + c * cp * dph,
-                    sn * cp * dth + c * sp * dph,
-                    c * sp * dth + sn * cp * dph,
-                    -c * cp * dth + sn * sp * dph,
-                ],
-                [
-                    c * sp * dth + sn * cp * dph,
-                    -c * cp * dth + sn * sp * dph,
-                    sn * sp * dth - c * cp * dph,
-                    -sn * cp * dth - c * sp * dph,
-                ],
-            ],
-            np.shape(t),
-        )
+        trig, shape = self._trig(t)
+        out = np.zeros(shape + (self.dimension, self.dimension), dtype=complex)
+        for k, angle in enumerate(self._angles()):
+            c, sn = trig[k]
+            turned = self._rows(trig[:k] + [(-sn, c)] + trig[k + 1:], shape)
+            fixed = self._rows(trig[:k] + [(0.0, 0.0)] + trig[k + 1:], shape)
+            out += np.expand_dims(angle.derivative(t), (-2, -1)) * (turned - fixed)
+        return out
 
     def completeness_defect(self, t: float) -> float:
         b = self.vectors(t)
-        return float(
-            np.max(np.abs(b.T @ b.conj() - np.eye(self.dimension)))
-        )
+        return float(np.max(np.abs(b.T @ b.conj() - np.eye(self.dimension))))
 
 
 def build_three_real_basis(schedule: AngleSchedule) -> MovingBasis:

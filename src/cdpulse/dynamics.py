@@ -1,8 +1,11 @@
 """Counterdiabatic Hamiltonians, Schroedinger integration, and observables.
 
 The central construction is H(t) = i * sum_n |dphi_n(t)><phi_n(t)| built
-from a moving basis with analytic derivatives; every closed-form Hamiltonian
-here agrees with that generic assembly entrywise.
+from a moving basis with analytic derivatives.  Every Hamiltonian a design
+runs, the Lambda, phased, four-level and cavity forms, is instead written
+as H(t) = sum_k c_k(t) G_k, pulse or angle-rate coefficients on constant
+generator matrices; the generic assembly ``hamiltonian_from_basis`` is the
+reference each of them is tested against entrywise.
 
 Evaluators are vectorized over time: ``spec.evaluator(t)`` with ``t`` of
 shape S returns shape S + (d, d), and a scalar ``t`` returns one (d, d)
@@ -43,6 +46,13 @@ _LAMBDA_GENERATORS = np.array(
         [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],  # Omega_p
         [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],  # Omega_s
         [[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]],  # Omega_a
+    ]
+)
+_PHASED_GENERATORS = np.array(
+    [
+        [[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]],  # dtheta * cos(kappa)
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # dtheta * sin(kappa)
+        [[0, 0, 0], [0, 0, 0], [0, 0, -1]],  # dkappa
     ]
 )
 _FOUR_LEVEL_GENERATORS = np.array(
@@ -110,6 +120,30 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
         _LAMBDA_GENERATORS,
         (pulses.omega_p, pulses.omega_s, pulses.omega_a),
         "three-level-lambda",
+    )
+
+
+def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
+    """Closed-form counterdiabatic matrix of the phased three-level family.
+
+    With phi and gamma constant it equals the generic construction
+    entrywise: H13 = i*dtheta*e^{-i kappa}, H33 = -dkappa, zero elsewhere
+    but for H31 = conj(H13).  Designs keep phi = gamma = 0.
+    """
+    if not (schedule.phi.is_constant and schedule.gamma.is_constant):
+        raise InvalidInputError("phased Hamiltonian requires constant phi and gamma")
+    dtheta, kappa = schedule.dtheta, schedule.kappa
+
+    def dtheta_cos_kappa(t):
+        return dtheta(t) * np.cos(kappa(t))
+
+    def dtheta_sin_kappa(t):
+        return dtheta(t) * np.sin(kappa(t))
+
+    return _linear_hamiltonian(
+        _PHASED_GENERATORS,
+        (dtheta_cos_kappa, dtheta_sin_kappa, schedule.dkappa),
+        "three-level-phased",
     )
 
 

@@ -22,7 +22,7 @@ from .basis import (
     build_phased_basis,
     build_three_real_basis,
 )
-from .dynamics import HamiltonianSpec, hamiltonian_from_basis, lambda_hamiltonian
+from .dynamics import HamiltonianSpec, lambda_hamiltonian, phased_hamiltonian
 from .errors import (
     BoundarySolveError,
     InvalidInputError,
@@ -142,6 +142,8 @@ class PulseSet:
 
     def sample(self, n: int = 1001):
         """Uniform sample grid: (t, Omega_p, Omega_s, Omega_a) arrays."""
+        if n < 2:
+            raise InvalidInputError(f"need at least 2 samples, got {n}")
         check_array_budget("sample count", n, 4 * 8)
         t = np.linspace(self.t0, self.tf, n)
         return (
@@ -231,7 +233,7 @@ class Design:
     @property
     def hamiltonian(self) -> HamiltonianSpec:
         if self.protocol is Protocol.PHASED:
-            return hamiltonian_from_basis(self.basis)
+            return phased_hamiltonian(self.schedule)
         return lambda_hamiltonian(self.pulses)
 
 
@@ -451,6 +453,10 @@ def design_phased(request: ProtocolRequest) -> Design:
     lam = request.lambda_rate if request.lambda_rate is not None else 0.5 / T
     theta_f = math.asin(tgt.mu)
     kappa_f = lam * math.pi * T
+    if not math.isfinite(kappa_f):
+        raise InvalidInputError(
+            f"final phase kappa(tf) = lambda*pi*T = {kappa_f} is not finite"
+        )
     return Design(
         protocol=request.protocol,
         schedule=AngleSchedule(

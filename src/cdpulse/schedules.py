@@ -9,6 +9,7 @@ zero-slope cubic is always a multiple of the universal "bump"
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +71,29 @@ def fit_cubic(boundary: CubicBoundary) -> CubicPolynomial:
     """Return the unique cubic matching all four endpoint constraints.
 
     Closed-form solution of the 4x4 linear system in powers of (t - t0).
+    Raises InvalidIntervalError for an interval so short or so long that
+    dt**2 or dt**3 leaves the normal float range, or whenever a coefficient
+    comes out non-finite.
     """
     dt = boundary.tf - boundary.t0
+    try:
+        dt2, dt3 = dt**2, dt**3
+    except OverflowError:
+        dt2 = dt3 = math.inf
+    if not (sys.float_info.min <= min(dt2, dt3) and max(dt2, dt3) < math.inf):
+        raise InvalidIntervalError(
+            f"interval length {dt!r} is outside the range a cubic can be fitted on"
+        )
     df = boundary.ff - boundary.f0
     a0 = boundary.f0
     a1 = boundary.df0
-    a2 = (3.0 * df - (2.0 * boundary.df0 + boundary.dff) * dt) / dt**2
-    a3 = (-2.0 * df + (boundary.df0 + boundary.dff) * dt) / dt**3
+    a2 = (3.0 * df - (2.0 * boundary.df0 + boundary.dff) * dt) / dt2
+    a3 = (-2.0 * df + (boundary.df0 + boundary.dff) * dt) / dt3
+    if not (math.isfinite(a2) and math.isfinite(a3)):
+        raise InvalidIntervalError(
+            f"cubic coefficients ({a2!r}, {a3!r}) on an interval of length "
+            f"{dt!r} are not finite"
+        )
     return CubicPolynomial(a0, a1, a2, a3, boundary.t0, boundary.tf)
 
 

@@ -42,6 +42,15 @@ class TestAngleSchedule:
                 t0=1.0, tf=1.0, theta=fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
             )
 
+    @pytest.mark.parametrize("name", ["theta", "phi", "gamma", "kappa"])
+    def test_cubic_on_another_interval_rejected(self, name):
+        # a cubic fitted on [1, 2] would be evaluated outside its range:
+        # theta(0) of this one is 5, not its boundary value 0
+        foreign = fit_cubic(CubicBoundary(1.0, 2.0, 0.0, 1.0))
+        angles = {"theta": fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0)), name: foreign}
+        with pytest.raises(InvalidInputError):
+            AngleSchedule(t0=0.0, tf=1.0, **angles)
+
 
 class TestOrthogonalityCondition:
     @pytest.mark.parametrize(
@@ -151,6 +160,20 @@ class TestMovingBases:
             for t in rng.uniform(0.1, 0.9, size=20):
                 fd = (basis.vectors(t + h) - basis.vectors(t - h)) / (2.0 * h)
                 assert np.max(np.abs(fd - basis.vector_derivatives(t))) <= 1e-7
+
+    def test_phased_derivatives_match_central_difference(self):
+        # phi, gamma and kappa all move: no closed-form Hamiltonian pins the
+        # off-diagonal derivatives of this case
+        rng = np.random.default_rng(29)
+        basis = build_phased_basis(cubic_schedule(rng, phases=True))
+        assert not any(
+            getattr(basis.schedule, name).is_constant
+            for name in ("theta", "phi", "gamma", "kappa")
+        )
+        h = 1e-6
+        times = rng.uniform(0.05, 0.95, size=101)
+        fd = (basis.vectors(times + h) - basis.vectors(times - h)) / (2.0 * h)
+        assert np.max(np.abs(fd - basis.vector_derivatives(times))) <= 1e-8
 
     def test_time_arrays_match_scalar_calls(self):
         # vectors/vector_derivatives on a time grid must be the stack of the

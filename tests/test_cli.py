@@ -358,6 +358,38 @@ class TestConfigAndErrors:
         )
         assert code == EXIT_ACCURACY
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve", "--T", T] for T in ("1e-160", "1e-120", "1e150", "1e200")]
+        + [["metrics", "--T", "1e-320"]],
+    )
+    def test_extreme_duration(self, tmp_path, capsys, argv):
+        # dt**2 or dt**3 leaves the float range: exit 2, no traceback
+        code = main(argv + ["--protocol", "single-I", "--nu", "0.6",
+                            "--steps", "100", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "interval length" in capsys.readouterr().err
+
+    def test_short_but_representable_duration(self, tmp_path):
+        code = main(["evolve", "--protocol", "single-I", "--nu", "0.6", "--T", "1e-100",
+                     "--steps", "100", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("steps", ["-5", "0"])
+    def test_design_too_few_samples(self, tmp_path, steps):
+        code = main(["design", "--protocol", "multi", "--mu", "0.5", "--eta", "0.5",
+                     "--steps", steps, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "pulses.csv").exists()
+
+    def test_overflowing_winding_phase(self, tmp_path, capsys):
+        # kappa(tf) = lambda*pi*T overflows; before this check np.exp warned
+        # and the NaN target surfaced as a norm-drift error (exit 3)
+        code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+                     "--initial", "3", "--lambda", "1e308", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "kappa" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         assert main(["design", "--protocol", "single-I", "--bogus"]) == EXIT_USAGE
 

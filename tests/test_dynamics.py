@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdpulse import (
+    AngleSchedule,
     Branch,
     CubicBoundary,
     HamiltonianSpec,
@@ -21,6 +22,7 @@ from cdpulse import (
     four_level_hamiltonian,
     hamiltonian_from_basis,
     lambda_hamiltonian,
+    phased_hamiltonian,
     build_four_level_basis,
     build_phased_basis,
     build_three_real_basis,
@@ -29,6 +31,7 @@ from cdpulse import (
     preset_targets,
     ratio_surface,
 )
+from cdpulse.basis import MovingBasis
 from cdpulse.dynamics import BLOCK_STEPS
 from cdpulse.errors import (
     IntegrationAccuracyError,
@@ -92,14 +95,29 @@ def protocol_cases():
     return cases
 
 
+def constant_phase_schedule(rng, t0=0.0, tf=1.0):
+    """Moving theta and kappa (nonzero end slopes), constant phi and gamma."""
+
+    def moving():
+        return fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-2.0, 2.0, size=4)))
+
+    def constant():
+        v = rng.uniform(-1.0, 1.0)
+        return fit_cubic(CubicBoundary(t0, tf, v, v))
+
+    return AngleSchedule(t0, tf, theta=moving(), phi=constant(),
+                         gamma=constant(), kappa=moving())
+
+
 def evaluator_specs():
-    """One spec per evaluator: Lambda, cavity, four-level, from-basis."""
+    """One spec per evaluator: Lambda, cavity, four-level, phased, from-basis."""
     rng = np.random.default_rng(71)
     d = design_multimode(preset_targets("cavity-bell"))
     return {
         "lambda": symmetric_design().hamiltonian,
         "cavity-qed": cavity_qed_hamiltonian(d.pulses),
         "four-level": four_level_hamiltonian(cubic_schedule(rng)),
+        "phased": phased_hamiltonian(constant_phase_schedule(rng)),
         "from-basis": hamiltonian_from_basis(
             build_phased_basis(cubic_schedule(rng, phases=True))
         ),
@@ -191,10 +209,53 @@ class TestHamiltonianAssembly:
                 assert spec.hermiticity_defect(t) <= 1e-12
 
 
+class TestPhasedClosedForm:
+    """phased_hamiltonian against the generic assembly it replaces at runtime."""
+
+    @pytest.mark.parametrize("lam", [-1.3, 0.0, None, 3.7])
+    @pytest.mark.parametrize("t0, T", [(0.0, 0.1), (0.0, 1.0), (0.0, 7.3), (0.3, 1.0)])
+    def test_design_matches_generic(self, lam, t0, T):
+        d = design(ProtocolRequest(Protocol.PHASED, TargetState(0.6, 0.0, 0.8),
+                                   t0=t0, tf=t0 + T, lambda_rate=lam))
+        times = np.linspace(t0, t0 + T, 401)
+        closed = d.hamiltonian(times)
+        generic = hamiltonian_from_basis(d.basis)(times)
+        assert np.max(np.abs(closed - generic)) <= 1e-12
+
+    def test_constant_phases_match_generic(self):
+        sched = constant_phase_schedule(np.random.default_rng(79), t0=0.3, tf=1.7)
+        times = np.linspace(0.3, 1.7, 401)
+        closed = phased_hamiltonian(sched)
+        generic = hamiltonian_from_basis(build_phased_basis(sched))
+        assert np.max(np.abs(closed(times) - generic(times))) <= 1e-12
+        h = closed(0.9)
+        kappa, dtheta = float(sched.kappa(0.9)), float(sched.dtheta(0.9))
+        assert abs(h[0, 2] - 1j * dtheta * np.exp(-1j * kappa)) <= 1e-14
+        assert h[2, 2] == -float(sched.dkappa(0.9))
+
+    @pytest.mark.parametrize("moving", ["phi", "gamma"])
+    def test_moving_phase_rejected(self, moving):
+        rng = np.random.default_rng(83)
+        sched = constant_phase_schedule(rng)
+        sched = AngleSchedule(0.0, 1.0, theta=sched.theta, kappa=sched.kappa,
+                              **{moving: fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 0.2))})
+        with pytest.raises(InvalidInputError):
+            phased_hamiltonian(sched)
+
+    def test_designs_never_use_the_generic_assembly(self, monkeypatch):
+        def forbidden(self, t):
+            raise AssertionError("vector_derivatives called on a design path")
+
+        monkeypatch.setattr(MovingBasis, "vector_derivatives", forbidden)
+        for spec, psi0, t0, tf in protocol_cases().values():
+            evolve(spec, psi0, t0, tf, steps=100)
+
+
 class TestVectorizedEvaluators:
     @pytest.mark.parametrize(
         "name",
-        ["lambda", "cavity-qed", "four-level", "from-basis", "from-basis-four-level"],
+        ["lambda", "cavity-qed", "four-level", "phased", "from-basis",
+         "from-basis-four-level"],
     )
     def test_time_grid_matches_scalar_calls(self, name):
         spec = evaluator_specs()[name]

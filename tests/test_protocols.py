@@ -383,11 +383,26 @@ class TestPhased:
                 ProtocolRequest(Protocol.PHASED, TargetState(SQ3, SQ3, SQ3))
             )
 
+    @pytest.mark.parametrize("lam", [1e308, -1e308])
+    def test_non_finite_final_phase_rejected(self, lam):
+        # lambda*pi*T overflows: an input error, not an integration failure
+        with pytest.raises(InvalidInputError):
+            design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+                                          lambda_rate=lam))
+
 
 class TestDispatchAndPresets:
     def test_design_dispatch(self):
         req = ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2))
         assert design(req).protocol is Protocol.SINGLE_MODE_I
+
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_sample_needs_two_points(self, n):
+        pulses = design(ProtocolRequest(Protocol.MULTI_MODE,
+                                        TargetState(0.5, 0.5, SQ2))).pulses
+        with pytest.raises(InvalidInputError):
+            pulses.sample(n)
+        assert pulses.sample(2)[0].tolist() == [0.0, 1.0]
 
     def test_beamsplitters(self):
         for name, pops in (

@@ -81,6 +81,22 @@ class TestFitCubic:
         with pytest.raises(InvalidIntervalError):
             CubicBoundary(0.0, math.inf, 0.0, 1.0)
 
+    @pytest.mark.parametrize("dt", [1e-320, 1e-160, 1e-120, 1e-103, 1e120, 1e150, 1e200])
+    def test_powers_out_of_range_rejected(self, dt):
+        # dt**2 or dt**3 underflows below the normal range or overflows
+        with pytest.raises(InvalidIntervalError):
+            fit_cubic(CubicBoundary(0.0, dt, 0.0, 1.0))
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(InvalidIntervalError):
+            fit_cubic(CubicBoundary(0.0, 1e-100, 0.0, 1e300))
+
+    @pytest.mark.parametrize("dt", [1e-100, 1e100])
+    def test_extreme_but_representable_interval(self, dt):
+        poly = fit_cubic(CubicBoundary(0.0, dt, 0.0, 1.0))
+        assert all(math.isfinite(a) for a in poly.coefficients)
+        assert poly(dt) == pytest.approx(1.0, rel=1e-12)
+
 
 class TestShapeFactor:
     def test_endpoint_zeros(self):
