@@ -220,6 +220,8 @@ def _design_payload(dsg: Design) -> dict:
 
 
 def cmd_design(args) -> int:
+    if args.steps < 1:
+        raise InvalidInputError(f"need --steps >= 1, got {args.steps}")
     dsg = design(_build_request(args))
     out = Path(args.out)
     _write_table(out, "pulses", PULSE_HEADER, dsg.pulses.sample(args.steps + 1),

@@ -25,6 +25,7 @@ import numpy as np
 
 from .basis import AngleSchedule, MovingBasis
 from .errors import (
+    MAX_ARRAY_BYTES,
     IntegrationAccuracyError,
     InvalidInputError,
     MappingUnsupportedError,
@@ -38,6 +39,8 @@ if TYPE_CHECKING:
 HERMITICITY_TOL = 1e-12
 NORM_DRIFT_TOL = 1e-6
 BLOCK_STEPS = 512  # RK4 steps whose propagators are built together
+# RK4 is stable for h*|eigenvalue of H| <= 2*sqrt(2) on the imaginary axis
+RK4_STABILITY_LIMIT = 2.0 * np.sqrt(2.0)
 
 # H(t) = sum_k c_k(t) G_k for the closed-form couplings, with the pulse or
 # angle-rate coefficients c_k in the order given in each comment.
@@ -213,6 +216,16 @@ class Trajectory:
         return min(overlap, 1.0)
 
 
+def _step_bytes(dimension: int) -> int:
+    """Bytes ``evolve`` stores per step: one time and one complex state."""
+    return 8 + 16 * dimension
+
+
+def max_steps(dimension: int) -> int:
+    """Largest step count ``evolve`` admits for a ``dimension``-level state."""
+    return MAX_ARRAY_BYTES // _step_bytes(dimension) - 1
+
+
 def evolve(
     spec: HamiltonianSpec,
     psi0: np.ndarray,
@@ -245,7 +258,7 @@ def evolve(
     deviation = abs(np.linalg.norm(psi) - 1.0)
     if not deviation <= 1e-8:
         raise InvalidInputError(f"psi0 norm deviates from 1 by {deviation:.3e}")
-    check_array_budget("steps", steps + 1, 16 * spec.dimension + 8)
+    check_array_budget("steps", steps + 1, _step_bytes(spec.dimension))
 
     h = (tf - t0) / steps
     times = t0 + h * np.arange(steps + 1)

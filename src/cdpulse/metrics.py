@@ -2,7 +2,9 @@
 
 The time-averaged frequency is (1/T) * integral of sqrt(Op^2 + Os^2); the
 energy functional is the integral of (Op^2 + Os^2) as printed, without a
-1/T prefactor (the comparison ratios are prefactor-independent).
+1/T prefactor (the comparison ratios are prefactor-independent).  Both are
+integrated by composite Simpson, a bit-exact numpy port of the path
+``scipy.integrate.simpson`` takes for an odd sample count with ``x`` given.
 
 The comparison surface is evaluated on the whole (mu, eta) grid at once and
 equals the scalar ``mode_comparison_ratio`` bit for bit.  It is libm-exact:
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .errors import InvalidInputError, check_array_budget
+from .errors import InvalidInputError, InvalidIntervalError, check_array_budget
 from .protocols import PulseSet, TargetState, solve_multimode_boundary
 
 MASK_VALUE = 0.0
@@ -65,6 +66,24 @@ class RatioSurface:
         )
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Composite Simpson of ``y`` sampled at an odd number of points ``x``.
+
+    scipy's ``_basic_simpson`` for non-uniform spacing in its operation
+    order, so the two agree bit for bit; as there, a spacing that rounds to
+    zero gets a zero weight instead of a division by zero.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    r = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    inv_r = np.true_divide(1.0, r, out=np.zeros_like(r), where=r != 0)
+    mid = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - inv_r) + y[1:-1:2] * (hsum * mid)
+                                + y[2::2] * (2.0 - r)))
+
+
 def _quadrature(pulses: PulseSet, t0: float, tf: float, points: int):
     # composite Simpson needs an odd sample count
     n = points if points % 2 == 1 else points + 1
@@ -73,8 +92,8 @@ def _quadrature(pulses: PulseSet, t0: float, tf: float, points: int):
         np.asarray(pulses.omega_p(t), dtype=float),
         np.asarray(pulses.omega_s(t), dtype=float),
     )
-    omega = simpson(quad, x=t) / (tf - t0)
-    energy = simpson(quad**2, x=t)
+    omega = _simpson(quad, t) / (tf - t0)
+    energy = _simpson(quad**2, t)
     return omega, energy, float(quad.max())
 
 
@@ -91,8 +110,12 @@ def drive_metrics(
     """
     if quad_points < 64:
         raise InvalidInputError(f"need quad_points >= 64, got {quad_points}")
+    # the doubled pass holds about eight float arrays of 2*quad_points + 1
+    check_array_budget("quad_points", 2 * quad_points + 1, 8 * 8)
     t0 = pulses.t0 if t0 is None else t0
     tf = pulses.tf if tf is None else tf
+    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
+        raise InvalidIntervalError(f"need finite t0 < tf, got [{t0}, {tf}]")
     o1, e1, _ = _quadrature(pulses, t0, tf, quad_points)
     o2, e2, peak = _quadrature(pulses, t0, tf, 2 * quad_points)
     scale = max(abs(o2), abs(e2), 1e-300)

@@ -22,7 +22,13 @@ from .basis import (
     build_phased_basis,
     build_three_real_basis,
 )
-from .dynamics import HamiltonianSpec, lambda_hamiltonian, phased_hamiltonian
+from .dynamics import (
+    RK4_STABILITY_LIMIT,
+    HamiltonianSpec,
+    lambda_hamiltonian,
+    max_steps,
+    phased_hamiltonian,
+)
 from .errors import (
     BoundarySolveError,
     InvalidInputError,
@@ -453,9 +459,14 @@ def design_phased(request: ProtocolRequest) -> Design:
     lam = request.lambda_rate if request.lambda_rate is not None else 0.5 / T
     theta_f = math.asin(tgt.mu)
     kappa_f = lam * math.pi * T
-    if not math.isfinite(kappa_f):
+    # H33 = -dkappa, so |kappa_f| / steps = h*|dkappa| bounds h*|H| from below;
+    # past RK4's stability limit at evolve's largest step count, or when not
+    # finite, no step count can integrate the design
+    limit = RK4_STABILITY_LIMIT * max_steps(3)
+    if not abs(kappa_f) <= limit:
         raise InvalidInputError(
-            f"final phase kappa(tf) = lambda*pi*T = {kappa_f} is not finite"
+            f"final phase kappa(tf) = lambda*pi*T = {kappa_f:g} exceeds {limit:.4g}, "
+            "which RK4 cannot integrate at any admitted step count; lower --lambda"
         )
     return Design(
         protocol=request.protocol,

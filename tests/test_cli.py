@@ -390,6 +390,29 @@ class TestConfigAndErrors:
         assert code == EXIT_VALIDATION
         assert "kappa" in capsys.readouterr().err
 
+    def test_winding_beyond_any_step_count(self, tmp_path, capsys):
+        # kappa(tf) is finite, but h*dkappa overflows RK4 at every admitted
+        # step count: a bad --lambda (exit 2), not a call for more steps
+        code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+                     "--initial", "3", "--lambda", "1e300", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "--lambda" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_winding_that_more_steps_resolve(self, tmp_path, capsys):
+        # too fast for 4000 steps; 100000 integrate it (test_protocols)
+        code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+                     "--initial", "3", "--lambda", "1e3", "--out", str(tmp_path)])
+        assert code == EXIT_ACCURACY
+        assert "increase the step count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["-5", "0"])
+    def test_design_step_count_names_the_flag(self, tmp_path, capsys, steps):
+        code = main(["design", "--protocol", "multi", "--mu", "0.5", "--eta", "0.5",
+                     "--steps", steps, "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert f"--steps >= 1, got {steps}" in capsys.readouterr().err
+
     def test_unknown_flag(self):
         assert main(["design", "--protocol", "single-I", "--bogus"]) == EXIT_USAGE
 

@@ -31,8 +31,9 @@ from cdpulse import (
     preset_targets,
     ratio_surface,
 )
+from cdpulse import dynamics, errors
 from cdpulse.basis import MovingBasis
-from cdpulse.dynamics import BLOCK_STEPS
+from cdpulse.dynamics import BLOCK_STEPS, max_steps
 from cdpulse.errors import (
     IntegrationAccuracyError,
     InvalidInputError,
@@ -436,6 +437,19 @@ class TestSizeGuards:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("dimension", [3, 4])
+    def test_max_steps_is_the_largest_admitted(self, monkeypatch, dimension):
+        # shrink the budget so that the largest admitted run is small
+        budget = 301 * (8 + 16 * dimension)
+        monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", budget)
+        monkeypatch.setattr(dynamics, "MAX_ARRAY_BYTES", budget)
+        assert max_steps(dimension) == 300
+        spec = HamiltonianSpec(dimension, lambda t: np.zeros((np.size(t), dimension, dimension)))
+        psi0 = np.eye(dimension)[0]
+        assert evolve(spec, psi0, 0.0, 1.0, steps=300).states.shape == (301, dimension)
+        with pytest.raises(InvalidInputError, match="too large"):
+            evolve(spec, psi0, 0.0, 1.0, steps=301)
 
 
 class TestFidelity:

@@ -1,13 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdpulse
 from cdpulse import (
+    Branch,
     Protocol,
     ProtocolRequest,
     TargetState,
+    design,
     design_multimode,
     design_protocol_II_no_microwave,
     drive_metrics,
@@ -15,7 +24,9 @@ from cdpulse import (
     ratio_surface,
     solve_multimode_boundary,
 )
-from cdpulse.errors import InvalidInputError
+from cdpulse import metrics
+from cdpulse.errors import InvalidInputError, InvalidIntervalError
+from cdpulse.metrics import _simpson
 from cdpulse.protocols import PulseSet
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -219,3 +230,91 @@ class TestVectorizedSurface:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+
+def scipy_simpson(y, x):
+    return pytest.importorskip("scipy.integrate").simpson(y, x=x)
+
+
+def random_grid(rng, n, uniform):
+    """A grid of n points over a span and offset drawn across 1e+-5."""
+    start = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-5.0, 5.0)
+    span = 10.0 ** rng.uniform(-5.0, 5.0)
+    if uniform:
+        return np.linspace(start, start + span, n)
+    return np.sort(start + span * rng.random(n))
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("n", [3, 5, 513, 1025, 1027])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_bit_for_bit_with_scipy(self, n, uniform):
+        rng = np.random.default_rng(n + 7 * uniform)
+        for _ in range(40):
+            x = random_grid(rng, n, uniform)
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
+            assert same_bits(np.float64(_simpson(y, x)), np.float64(scipy_simpson(y, x)))
+
+    def test_zero_spacings_warn_nothing(self):
+        # 1e-9 wide at 1e8: linspace spacings round to 0 or one ulp of 1e8
+        x = np.linspace(1e8, 1e8 + 1e-9, 513)
+        assert np.count_nonzero(np.diff(x) == 0.0) > 0
+        y = np.cos(np.arange(513.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid in (x, np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0])):
+                values = y[: grid.size]
+                got = _simpson(values, grid)
+                assert math.isfinite(got)
+                assert same_bits(np.float64(got), np.float64(scipy_simpson(values, grid)))
+
+
+def metric_requests():
+    """Every protocol, and every single-I branch, at T = 0.1, 1 and 7.3."""
+    for T in (0.1, 1.0, 7.3):
+        for branch in Branch:
+            yield ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2),
+                                  tf=T, branch=branch)
+        for protocol in (Protocol.SINGLE_MODE_II, Protocol.SINGLE_MODE_II_NO_MICROWAVE,
+                         Protocol.MULTI_MODE):
+            yield ProtocolRequest(protocol, TargetState.normalized(1.0, 2.0, 3.0), tf=T)
+        yield ProtocolRequest(Protocol.PHASED, TargetState(0.6, 0.0, 0.8), tf=T)
+
+
+class TestDriveMetricsMatchesScipy:
+    @pytest.mark.parametrize("request_", list(metric_requests()),
+                             ids=lambda r: f"{r.protocol.value}-{r.branch.value}-T{r.tf}")
+    def test_every_field_bit_for_bit(self, request_, monkeypatch):
+        pulses = design(request_).pulses
+        got = drive_metrics(pulses)
+        monkeypatch.setattr(metrics, "_simpson", scipy_simpson)
+        assert same_bits(np.array(astuple(got)), np.array(astuple(drive_metrics(pulses))))
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(cdpulse.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, cdpulse, cdpulse.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
+class TestDriveMetricsInputs:
+    pulses = PulseSet(zero_function, zero_function, zero_function, 0.0, 1.0)
+
+    @pytest.mark.parametrize("t0, tf", [(1.0, 1.0), (0.0, math.nan), (math.nan, 1.0),
+                                        (0.0, math.inf), (2.0, 0.0)])
+    def test_bad_interval(self, t0, tf):
+        with pytest.raises(InvalidIntervalError):
+            drive_metrics(self.pulses, t0=t0, tf=tf)
+
+    def test_point_count_budget(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="too large"):
+                drive_metrics(self.pulses, quad_points=10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20

@@ -25,7 +25,9 @@ from cdpulse import (
     select_branch,
     solve_multimode_boundary,
 )
+from cdpulse.dynamics import RK4_STABILITY_LIMIT, max_steps
 from cdpulse.errors import (
+    IntegrationAccuracyError,
     InvalidInputError,
     ProtocolMismatchError,
     UnsupportedBranchError,
@@ -389,6 +391,33 @@ class TestPhased:
         with pytest.raises(InvalidInputError):
             design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
                                           lambda_rate=lam))
+
+    @pytest.mark.parametrize("T", [0.5, 3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_winding_too_fast_for_any_step_count_rejected(self, T, sign):
+        # h*|dkappa| = |kappa_f| / steps bounds h*|H| from below: past RK4's
+        # stability limit at the largest admitted step count nothing helps
+        limit = RK4_STABILITY_LIMIT * max_steps(3)
+        rate = sign * limit / (math.pi * T)
+
+        def request(lam):
+            return ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+                                   initial_state=3, tf=T, lambda_rate=lam)
+
+        d = design_phased(request(rate * (1.0 - 1e-9)))
+        assert abs(d.boundary["kappa_f"]) <= limit
+        for lam in (rate * (1.0 + 1e-9), sign * 1e300):
+            with pytest.raises(InvalidInputError, match="--lambda"):
+                design_phased(request(lam))
+
+    def test_fast_winding_that_more_steps_resolve_is_kept(self):
+        # at 4000 steps h*dkappa ~ 0.79 breaks the norm; 100000 steps reach
+        # the target, so this lambda must stay an accuracy matter
+        d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(0.6, 0.0, 0.8),
+                                          initial_state=3, lambda_rate=1e3))
+        with pytest.raises(IntegrationAccuracyError, match="increase the step count"):
+            run(d)
+        assert run(d, steps=100_000).fidelity_to(d.target_vector) >= 1.0 - 1e-5
 
 
 class TestDispatchAndPresets:
