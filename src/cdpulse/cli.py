@@ -3,7 +3,8 @@
 Subcommands: design, evolve, sweep, figures, metrics.  All data files are
 CSV with fixed 17-significant-digit formatting (byte-identical for
 identical configs); run summaries are JSON.  Exit codes: 0 success,
-2 validation error, 3 integration-accuracy error, 4 usage error.
+2 validation error, 3 integration-accuracy error, 4 usage error (a bad
+command line, an unreadable config file or an unwritable output file).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +67,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@contextmanager
+def _file_access(path, action: str):
+    """Turn a failure to ``action`` ``path`` into a usage error naming the path."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        where = getattr(exc, "filename", None) or path
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot {action} {where}: {reason}") from exc
+
+
 def _column_block(columns) -> np.ndarray:
     """Equal-length data columns as one (rows, columns) float block."""
     return np.column_stack(columns).astype(float, copy=False)
@@ -74,25 +87,29 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     """Header line, then one row per sample, every value as ``%.17g``."""
     block = _column_block(columns)
     line = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(block), CSV_CHUNK_ROWS):
-            chunk = block[start:start + CSV_CHUNK_ROWS]
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    with _file_access(path, "write"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(block), CSV_CHUNK_ROWS):
+                chunk = block[start:start + CSV_CHUNK_ROWS]
+                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _file_access(path, "write"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _load_config(path: str) -> dict:
     """INI-style key=value file; '#' starts a comment."""
+    with _file_access(path, "read config file"):
+        text = Path(path).read_text()
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

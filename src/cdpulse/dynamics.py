@@ -4,8 +4,10 @@ The central construction is H(t) = i * sum_n |dphi_n(t)><phi_n(t)| built
 from a moving basis with analytic derivatives.  Every Hamiltonian a design
 runs, the Lambda, phased, four-level and cavity forms, is instead written
 as H(t) = sum_k c_k(t) G_k, pulse or angle-rate coefficients on constant
-generator matrices; the generic assembly ``hamiltonian_from_basis`` is the
-reference each of them is tested against entrywise.
+generator matrices, all K of them from one callable (the ``PulseSet`` for
+the Lambda form) as shape S + (K,) for times of shape S.  The generic
+assembly ``hamiltonian_from_basis`` is the reference each form is tested
+against entrywise.
 
 Evaluators are vectorized over time: ``spec.evaluator(t)`` with ``t`` of
 shape S returns shape S + (d, d), and a scalar ``t`` returns one (d, d)
@@ -43,7 +45,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .protocols import PulseSet
 
-HERMITICITY_TOL = 1e-12
 NORM_DRIFT_TOL = 1e-6
 BLOCK_STEPS = 512  # RK4 steps whose propagators are built together
 
@@ -121,9 +122,12 @@ def _real_form(h: np.ndarray) -> np.ndarray:
 
 
 def _linear_hamiltonian(
-    generators: np.ndarray, coefficients, source: str
+    generators: np.ndarray, coefficients: Callable, source: str
 ) -> HamiltonianSpec:
-    """H(t) = sum_k coefficients[k](t) * generators[k]."""
+    """H(t) = sum_k c_k(t) * generators[k], all c_k from one callable.
+
+    ``coefficients`` maps times of shape S to real values of shape S + (K,).
+    """
     dimension = generators.shape[-1]
     # the coefficients are real, so H's (Re, Im) entries are one real product
     # with the generators' own, a fraction of the cost of a complex product
@@ -131,11 +135,8 @@ def _linear_hamiltonian(
     pairs = flat.view(np.float64)
 
     def evaluator(t) -> np.ndarray:
-        shape = np.shape(t)
-        c = np.empty(shape + (len(coefficients),))
-        for k, f in enumerate(coefficients):
-            c[..., k] = f(t)
-        return (c @ pairs).view(complex).reshape(shape + (dimension, dimension))
+        return (coefficients(t) @ pairs).view(complex).reshape(
+            np.shape(t) + (dimension, dimension))
 
     return HamiltonianSpec(dimension, evaluator, source=source)
 
@@ -157,11 +158,7 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     Pattern: zero diagonal, H12 = -i*Omega_p, H23 = -i*Omega_s,
     H13 = +i*Omega_a (the Omega_a = -dtheta convention).
     """
-    return _linear_hamiltonian(
-        _LAMBDA_GENERATORS,
-        (pulses.omega_p, pulses.omega_s, pulses.omega_a),
-        "three-level-lambda",
-    )
+    return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses, "three-level-lambda")
 
 
 def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -173,19 +170,13 @@ def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     """
     if not (schedule.phi.is_constant and schedule.gamma.is_constant):
         raise InvalidInputError("phased Hamiltonian requires constant phi and gamma")
-    dtheta, kappa = schedule.dtheta, schedule.kappa
 
-    def dtheta_cos_kappa(t):
-        return dtheta(t) * np.cos(kappa(t))
+    def rates(t) -> np.ndarray:
+        dtheta, kappa = schedule.dtheta(t), schedule.kappa(t)
+        return np.stack((dtheta * np.cos(kappa), dtheta * np.sin(kappa),
+                         schedule.dkappa(t)), axis=-1)
 
-    def dtheta_sin_kappa(t):
-        return dtheta(t) * np.sin(kappa(t))
-
-    return _linear_hamiltonian(
-        _PHASED_GENERATORS,
-        (dtheta_cos_kappa, dtheta_sin_kappa, schedule.dkappa),
-        "three-level-phased",
-    )
+    return _linear_hamiltonian(_PHASED_GENERATORS, rates, "three-level-phased")
 
 
 def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -197,26 +188,29 @@ def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     """
     if not schedule.is_phase_free():
         raise InvalidInputError("four-level Hamiltonian requires gamma = kappa = 0")
-    return _linear_hamiltonian(
-        _FOUR_LEVEL_GENERATORS, (schedule.dtheta, schedule.dphi), "four-level"
-    )
+
+    def rates(t) -> np.ndarray:
+        return np.stack((schedule.dtheta(t), schedule.dphi(t)), axis=-1)
+
+    return _linear_hamiltonian(_FOUR_LEVEL_GENERATORS, rates, "four-level")
 
 
 def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     """Single-excitation cavity Hamiltonian with g1 = -i*Omega_p, g2 = i*Omega_s.
 
     Basis ordering: |e,g>|0>, |g,g>|1>, |g,e>|0>.  Only pulse sets without
-    a ground-ground coupling (Omega_a identically zero) can be mapped; the
-    matrix is then the Lambda coupling matrix without its Omega_a term.
+    a ground-ground coupling (constant theta: Omega_a identically zero) can
+    be mapped; the matrix is then the Lambda matrix without its Omega_a term.
     """
-    probe = np.linspace(pulses.t0, pulses.tf, 257)
-    if np.max(np.abs(pulses.omega_a(probe))) > 1e-14:
+    if not pulses.schedule.theta.is_constant:
         raise MappingUnsupportedError(
-            "cavity mapping requires Omega_a identically zero"
+            "cavity mapping requires Omega_a identically zero (a constant theta)"
         )
-    return _linear_hamiltonian(
-        _LAMBDA_GENERATORS[:2], (pulses.omega_p, pulses.omega_s), "cavity-qed"
-    )
+
+    def couplings(t) -> np.ndarray:
+        return pulses(t)[..., :2]
+
+    return _linear_hamiltonian(_LAMBDA_GENERATORS[:2], couplings, "cavity-qed")
 
 
 @dataclass(frozen=True)

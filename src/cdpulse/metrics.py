@@ -88,10 +88,7 @@ def _quadrature(pulses: PulseSet, t0: float, tf: float, points: int):
     # composite Simpson needs an odd sample count
     n = points if points % 2 == 1 else points + 1
     t = np.linspace(t0, tf, n)
-    quad = np.hypot(
-        np.asarray(pulses.omega_p(t), dtype=float),
-        np.asarray(pulses.omega_s(t), dtype=float),
-    )
+    quad = np.hypot(*pulses(t).T[:2])
     omega = _simpson(quad, t) / (tf - t0)
     energy = _simpson(quad**2, t)
     return omega, energy, float(quad.max())

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class TargetState:
 
     def __post_init__(self) -> None:
         # written so that NaN and Inf fail: a NaN residual is not <= tol
-        residual = abs(self.mu**2 + self.eta**2 + self.nu**2 - 1.0)
+        residual = self.norm_residual()
         if not residual <= NORM_TOL:
             raise InvalidInputError(
                 f"target norm residual {residual:.3e} exceeds {NORM_TOL:.1e}"
@@ -143,13 +143,43 @@ class ProtocolRequest:
 
 @dataclass(frozen=True)
 class PulseSet:
-    """Drive fields Omega_p, Omega_s, Omega_a as functions of time (units 1/T)."""
+    """Drive fields of an angle schedule, as plain data (units 1/T).
 
-    omega_p: Callable
-    omega_s: Callable
-    omega_a: Callable
-    t0: float
-    tf: float
+    Omega_p = dphi*sin(theta), Omega_s = dphi*cos(theta) and Omega_a =
+    -dtheta, or +dtheta in the phased family.  An angle that does not move
+    contributes exact +0.0 pulses.
+    """
+
+    schedule: AngleSchedule
+    phased: bool = False
+
+    @property
+    def t0(self) -> float:
+        return self.schedule.t0
+
+    @property
+    def tf(self) -> float:
+        return self.schedule.tf
+
+    def __call__(self, t) -> np.ndarray:
+        """(Omega_p, Omega_s, Omega_a) at times of shape S, as shape S + (3,)."""
+        s = self.schedule
+        out = np.zeros(np.shape(t) + (3,))
+        if not s.phi.is_constant:
+            dphi = s.dphi(t)
+            if s.theta.is_constant:
+                # a frozen theta splits dphi in a fixed ratio; one libm sin
+                # and cos keep the cost quadrature cheap and the pulse files
+                # free of numpy's vectorized sin
+                out[..., 0] = dphi * math.sin(s.theta.a0)
+                out[..., 1] = dphi * math.cos(s.theta.a0)
+            else:
+                theta = s.theta(t)
+                out[..., 0] = dphi * np.sin(theta)
+                out[..., 1] = dphi * np.cos(theta)
+        if not s.theta.is_constant:
+            out[..., 2] = (1.0 if self.phased else -1.0) * s.dtheta(t)
+        return out
 
     def sample(self, n: int = 1001):
         """Uniform sample grid: (t, Omega_p, Omega_s, Omega_a) arrays."""
@@ -157,12 +187,7 @@ class PulseSet:
             raise InvalidInputError(f"need at least 2 samples, got {n}")
         check_array_budget("sample count", n, 4 * 8)
         t = np.linspace(self.t0, self.tf, n)
-        return (
-            t,
-            np.asarray(self.omega_p(t), dtype=float),
-            np.asarray(self.omega_s(t), dtype=float),
-            np.asarray(self.omega_a(t), dtype=float),
-        )
+        return (t, *self(t).T)
 
 
 @dataclass(frozen=True)
@@ -178,10 +203,6 @@ class MultiModeSolution:
     @property
     def zeta(self) -> float:
         return self.phi_f
-
-
-def _no_drive(t) -> np.ndarray:
-    return np.zeros(np.shape(t))
 
 
 @dataclass(frozen=True)
@@ -208,39 +229,7 @@ class Design:
 
     @property
     def pulses(self) -> PulseSet:
-        """Omega_p = dphi*sin(theta), Omega_s = dphi*cos(theta), Omega_a = -dtheta.
-
-        The phased family uses Omega_a = +dtheta.  An angle that does not
-        move contributes exact +0.0 pulses.
-        """
-        s = self.schedule
-        omega_p = omega_s = omega_a = _no_drive
-        if not s.phi.is_constant and s.theta.is_constant:
-            # a frozen theta splits dphi in a fixed ratio; one libm sin and
-            # cos keep the cost quadrature cheap and the pulse files free of
-            # numpy's vectorized sin
-            sin_theta, cos_theta = math.sin(s.theta.a0), math.cos(s.theta.a0)
-
-            def omega_p(t):
-                return s.dphi(t) * sin_theta
-
-            def omega_s(t):
-                return s.dphi(t) * cos_theta
-
-        elif not s.phi.is_constant:
-            def omega_p(t):
-                return s.dphi(t) * np.sin(s.theta(t))
-
-            def omega_s(t):
-                return s.dphi(t) * np.cos(s.theta(t))
-
-        if not s.theta.is_constant:
-            sign = 1.0 if self.protocol is Protocol.PHASED else -1.0
-
-            def omega_a(t):
-                return sign * s.dtheta(t)
-
-        return PulseSet(omega_p, omega_s, omega_a, s.t0, s.tf)
+        return PulseSet(self.schedule, phased=self.protocol is Protocol.PHASED)
 
     @property
     def hamiltonian(self) -> HamiltonianSpec:

@@ -77,7 +77,7 @@ def test_01_even_split_populations_and_pulse_form():
         assert p[1] <= 1e-8
         t = np.linspace(0.0, 1.0, 1001)
         expected = -6.0 * (t - t**2) * (math.pi / 4.0)
-        assert np.max(np.abs(dsg.pulses.omega_a(t) - expected)) <= 1e-12
+        assert np.max(np.abs(dsg.pulses(t)[..., 2] - expected)) <= 1e-12
 
 
 def test_02_fast_inversion_any_duration():
@@ -91,7 +91,7 @@ def test_02_fast_inversion_any_duration():
             )
             assert run(dsg).populations[-1][2] >= 1.0 - 1e-6
             t = np.linspace(0.0, T, 2001)
-            peaks[T] = np.max(np.abs(dsg.pulses.omega_a(t)))
+            peaks[T] = np.max(np.abs(dsg.pulses(t)[..., 2]))
         scaled = [peaks[T] * T for T in (0.1, 1.0, 10.0)]
         assert max(scaled) - min(scaled) <= 1e-12
 
@@ -144,7 +144,7 @@ def test_05_no_microwave_variant():
                 )
             )
             t = np.linspace(0.0, 1.0, 501)
-            assert np.max(np.abs(dsg.pulses.omega_a(t))) == 0.0
+            assert np.max(np.abs(dsg.pulses(t)[..., 2])) == 0.0
             p = run(dsg).populations[-1]
             assert np.max(np.abs(p - np.array(pops))) <= 1e-3
 

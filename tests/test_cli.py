@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,3 +464,43 @@ class TestConfigAndErrors:
             ]
         )
         assert code == EXIT_OK
+
+
+def run_cli(*argv):
+    """``python -m cdpulse.cli`` in a child process: (exit code, stderr)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "cdpulse.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+DESIGN_ARGV = ["design", "--protocol", "multi", "--mu", "0.5", "--eta", "0.5"]
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("kind", ["missing", "undecodable", "directory"])
+    def test_unreadable_config(self, tmp_path, kind):
+        cfg = tmp_path / "run.ini"
+        if kind == "undecodable":
+            cfg.write_bytes(b"\xff\xfe")
+        elif kind == "directory":
+            cfg.mkdir()
+        out = tmp_path / "out"
+        code, err = run_cli(*DESIGN_ARGV, "--config", str(cfg), "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+        assert str(cfg) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "nested"])
+    def test_output_under_a_regular_file(self, tmp_path, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        code, err = run_cli(*DESIGN_ARGV, "--out", str(blocker / sub))
+        assert code == EXIT_USAGE
+        assert "Traceback" not in err
+        assert str(blocker) in err
+        assert blocker.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -8,6 +8,7 @@ from cdpulse import (
     AngleSchedule,
     Branch,
     CubicBoundary,
+    CubicPolynomial,
     HamiltonianSpec,
     Protocol,
     ProtocolRequest,
@@ -148,9 +149,9 @@ class TestHamiltonianAssembly:
         t = 0.37
         h = d.hamiltonian(t)
         assert np.max(np.abs(np.diag(h))) == 0.0
-        assert h[0, 1] == pytest.approx(-1j * float(d.pulses.omega_p(t)), abs=1e-15)
-        assert h[1, 2] == pytest.approx(-1j * float(d.pulses.omega_s(t)), abs=1e-15)
-        assert h[0, 2] == pytest.approx(1j * float(d.pulses.omega_a(t)), abs=1e-15)
+        assert h[0, 1] == pytest.approx(-1j * float(d.pulses(t)[..., 0]), abs=1e-15)
+        assert h[1, 2] == pytest.approx(-1j * float(d.pulses(t)[..., 1]), abs=1e-15)
+        assert h[0, 2] == pytest.approx(1j * float(d.pulses(t)[..., 2]), abs=1e-15)
         assert d.hamiltonian.hermiticity_defect(t) <= 1e-12
 
     def test_phased_diagonal_entries(self):
@@ -282,20 +283,18 @@ class TestCavityQed:
             h = spec(t)
             assert spec.hermiticity_defect(t) <= 1e-12
             assert h[0, 1] == pytest.approx(
-                -1j * float(d.pulses.omega_p(t)), abs=1e-15
+                -1j * float(d.pulses(t)[..., 0]), abs=1e-15
             )
             assert h[2, 1] == pytest.approx(
-                1j * float(d.pulses.omega_s(t)), abs=1e-15
+                1j * float(d.pulses(t)[..., 1]), abs=1e-15
             )
             assert h[0, 2] == 0.0
 
     def test_zero_pulses(self):
         from cdpulse.protocols import PulseSet
 
-        def zero(t):
-            return np.zeros(np.shape(t))
-
-        pulses = PulseSet(zero, zero, zero, 0.0, 1.0)
+        pulses = PulseSet(AngleSchedule(0.0, 1.0, theta=CubicPolynomial(
+            0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
         assert np.max(np.abs(cavity_qed_hamiltonian(pulses)(0.3))) == 0.0
 
     def test_microwave_pulses_rejected(self):
@@ -306,6 +305,15 @@ class TestCavityQed:
         )
         with pytest.raises(MappingUnsupportedError):
             cavity_qed_hamiltonian(d.pulses)
+
+    def test_any_theta_motion_rejected(self):
+        # Omega_a = -dtheta stays far below any sampled threshold here, yet
+        # it is not identically zero
+        from cdpulse.protocols import PulseSet
+
+        theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1e-20))
+        with pytest.raises(MappingUnsupportedError):
+            cavity_qed_hamiltonian(PulseSet(AngleSchedule(0.0, 1.0, theta=theta)))
 
 
 class TestEvolve:
@@ -451,7 +459,8 @@ class TestSizeGuards:
 
         from cdpulse.protocols import PulseSet
 
-        pulses = PulseSet(never, never, never, 0.0, 1.0)
+        pulses = PulseSet(AngleSchedule(0.0, 1.0, theta=CubicPolynomial(
+            0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInputError, match="too large"):

@@ -12,7 +12,9 @@ import pytest
 
 import cdpulse
 from cdpulse import (
+    AngleSchedule,
     Branch,
+    CubicPolynomial,
     Protocol,
     ProtocolRequest,
     TargetState,
@@ -33,8 +35,9 @@ SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
 
 
-def zero_function(t):
-    return np.zeros(np.shape(t))
+# the zero-cubic schedule: no angle moves, so every pulse is +0.0
+ZERO_PULSES = PulseSet(AngleSchedule(0.0, 1.0, theta=CubicPolynomial(
+    0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
 
 
 class TestDriveMetrics:
@@ -64,7 +67,7 @@ class TestDriveMetrics:
         assert m.energy_bar == pytest.approx(1.2 * span**2, abs=1e-8)
 
     def test_zero_pulses(self):
-        pulses = PulseSet(zero_function, zero_function, zero_function, 0.0, 1.0)
+        pulses = ZERO_PULSES
         m = drive_metrics(pulses)
         assert m.omega_bar == 0.0
         assert m.energy_bar == 0.0
@@ -81,7 +84,7 @@ class TestDriveMetrics:
         assert vals[10.0].energy_bar == pytest.approx(vals[1.0].energy_bar / 10.0)
 
     def test_point_count_guard(self):
-        pulses = PulseSet(zero_function, zero_function, zero_function, 0.0, 1.0)
+        pulses = ZERO_PULSES
         with pytest.raises(InvalidInputError):
             drive_metrics(pulses, quad_points=32)
 
@@ -301,7 +304,7 @@ class TestDriveMetricsMatchesScipy:
 
 
 class TestDriveMetricsInputs:
-    pulses = PulseSet(zero_function, zero_function, zero_function, 0.0, 1.0)
+    pulses = ZERO_PULSES
 
     @pytest.mark.parametrize("t0, tf", [(1.0, 1.0), (0.0, math.nan), (math.nan, 1.0),
                                         (0.0, math.inf), (2.0, 0.0)])

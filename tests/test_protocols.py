@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import pickle
@@ -12,6 +13,7 @@ from cdpulse import (
     Design,
     Protocol,
     ProtocolRequest,
+    PulseSet,
     TargetState,
     design,
     design_multimode,
@@ -125,11 +127,11 @@ class TestProtocolI:
         # pulse closed form: Omega_a = -(pi/4) * 6 * (t - t^2) on T = 1
         t = np.linspace(0.0, 1.0, 501)
         expected = -(math.pi / 4.0) * 6.0 * (t - t**2)
-        assert np.max(np.abs(d.pulses.omega_a(t) - expected)) <= 1e-12
-        assert np.max(np.abs(d.pulses.omega_p(t))) == 0.0
-        assert np.max(np.abs(d.pulses.omega_s(t))) == 0.0
+        assert np.max(np.abs(d.pulses(t)[..., 2] - expected)) <= 1e-12
+        assert np.max(np.abs(d.pulses(t)[..., 0])) == 0.0
+        assert np.max(np.abs(d.pulses(t)[..., 1])) == 0.0
         # peak |Omega_a| = 1.5 * theta_T / T at midpoint
-        assert abs(d.pulses.omega_a(0.5)) == pytest.approx(
+        assert abs(d.pulses(0.5)[..., 2]) == pytest.approx(
             1.5 * math.pi / 4.0, abs=1e-12
         )
         traj = run(d)
@@ -143,7 +145,7 @@ class TestProtocolI:
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0))
         )
         t = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(d.pulses.omega_a(t))) == 0.0
+        assert np.max(np.abs(d.pulses(t)[..., 2])) == 0.0
         assert run(d, steps=200).fidelity_to([1.0, 0.0, 0.0]) == pytest.approx(1.0)
 
     def test_eta_rejected(self):
@@ -196,7 +198,7 @@ class TestProtocolII:
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3))
         )
         t = np.linspace(0.0, 1.0, 777)
-        quad = np.hypot(d.pulses.omega_p(t), d.pulses.omega_s(t))
+        quad = np.hypot(d.pulses(t)[..., 0], d.pulses(t)[..., 1])
         assert np.max(np.abs(quad - np.abs(d.schedule.dphi(t)))) <= 1e-12
 
     def test_pure_inversion_limit(self):
@@ -206,10 +208,10 @@ class TestProtocolII:
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(0.0, 0.0, 1.0))
         )
         t = np.linspace(0.0, 1.0, 301)
-        assert np.max(np.abs(d.pulses.omega_p(t))) <= 1e-15
-        assert np.max(np.abs(d.pulses.omega_s(t))) <= 1e-15
+        assert np.max(np.abs(d.pulses(t)[..., 0])) <= 1e-15
+        assert np.max(np.abs(d.pulses(t)[..., 1])) <= 1e-15
         expected_oa = 3.0 * math.pi * (t - t**2)
-        assert np.max(np.abs(d.pulses.omega_a(t) - expected_oa)) <= 1e-12
+        assert np.max(np.abs(d.pulses(t)[..., 2] - expected_oa)) <= 1e-12
         final = run(d).final_state
         assert abs(final[2] - (-1.0)) <= 1e-6
 
@@ -244,7 +246,7 @@ class TestNoMicrowave:
             )
         )
         t = np.linspace(0.0, 1.0, 257)
-        assert np.max(np.abs(d.pulses.omega_a(t))) == 0.0
+        assert np.max(np.abs(d.pulses(t)[..., 2])) == 0.0
         p = run(d).populations[-1]
         assert np.max(np.abs(p - np.array(pops))) <= 1e-6
 
@@ -257,8 +259,8 @@ class TestNoMicrowave:
             )
         )
         t = np.linspace(0.0, 1.0, 101)
-        for pulse in (d.pulses.omega_p, d.pulses.omega_s, d.pulses.omega_a):
-            assert np.max(np.abs(pulse(t))) <= 1e-15
+        for k in range(3):
+            assert np.max(np.abs(d.pulses(t)[..., k])) <= 1e-15
 
     def test_wrong_initial_state(self):
         with pytest.raises(ProtocolMismatchError):
@@ -337,7 +339,7 @@ class TestMultiModeDesign:
         traj = run(d)
         assert traj.fidelity_to(d.target_vector) >= 1.0 - 1e-6
         t = np.linspace(0.0, 1.0, 301)
-        assert np.max(np.abs(d.pulses.omega_a(t))) == 0.0
+        assert np.max(np.abs(d.pulses(t)[..., 2])) == 0.0
 
     def test_mode_coefficients_conserved(self):
         d = design_multimode(
@@ -479,6 +481,10 @@ PLAIN_DATA_REQUESTS = {
         Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0)
     ),
     "single-II": ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3)),
+    # theta stays at pi/2 and phi at 0: no angle moves
+    "single-II-identity": ProtocolRequest(
+        Protocol.SINGLE_MODE_II, TargetState(1.0, 0.0, 0.0)
+    ),
     "single-II-nomw": ProtocolRequest(
         Protocol.SINGLE_MODE_II_NO_MICROWAVE,
         TargetState.normalized(1.0 / math.sqrt(6.0), SQ3, SQ2),
@@ -501,6 +507,31 @@ def _hamiltonian(name, dsg):
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_pulses(dsg, t):
+    """Omega_p, Omega_s, Omega_a of a design, each pulse on its own.
+
+    One expression per pulse, as the paper states them, with the frozen-theta
+    libm split and exact zeros for an angle that does not move.
+    """
+    s = dsg.schedule
+    zero = np.zeros(np.shape(t))
+    if s.phi.is_constant:
+        omega_p = omega_s = zero
+    elif s.theta.is_constant:
+        omega_p = s.dphi(t) * math.sin(s.theta.a0)
+        omega_s = s.dphi(t) * math.cos(s.theta.a0)
+    else:
+        omega_p = s.dphi(t) * np.sin(s.theta(t))
+        omega_s = s.dphi(t) * np.cos(s.theta(t))
+    if s.theta.is_constant:
+        omega_a = zero
+    elif dsg.protocol is Protocol.PHASED:
+        omega_a = s.dtheta(t)
+    else:
+        omega_a = -1.0 * s.dtheta(t)
+    return [np.asarray(x, dtype=float) for x in (omega_p, omega_s, omega_a)]
 
 
 class TestPlainData:
@@ -564,3 +595,50 @@ class TestPlainData:
         dphi = dsg.schedule.dphi(t)
         assert _same_bits(omega_p, dphi * math.sin(theta))
         assert _same_bits(omega_s, dphi * math.cos(theta))
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_DATA_REQUESTS))
+    def test_pulse_set_is_plain_data(self, name):
+        pulses = design(PLAIN_DATA_REQUESTS[name]).pulses
+        assert [f.name for f in dataclasses.fields(PulseSet)] == ["schedule", "phased"]
+        assert not any(
+            callable(getattr(pulses, f.name)) for f in dataclasses.fields(PulseSet)
+        )
+        copy = pickle.loads(pickle.dumps(pulses))
+        assert copy == pulses
+        assert design(PLAIN_DATA_REQUESTS[name]).pulses == pulses
+        assert (copy.t0, copy.tf) == (pulses.schedule.t0, pulses.schedule.tf)
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_DATA_REQUESTS))
+    def test_one_call_evaluates_each_cubic_once(self, monkeypatch, name):
+        dsg = design(PLAIN_DATA_REQUESTS[name])
+        calls = collections.Counter()
+        cubics = {}
+        for method in ("__call__", "derivative"):
+            original = getattr(CubicPolynomial, method)
+
+            def counted(cubic, t, method=method, original=original):
+                calls[id(cubic), method] += 1
+                cubics[id(cubic)] = cubic
+                return original(cubic, t)
+
+            monkeypatch.setattr(CubicPolynomial, method, counted)
+        grid = np.linspace(dsg.schedule.t0, dsg.schedule.tf, 401)
+        for t in (grid, 0.3):
+            calls.clear()
+            dsg.pulses(t)
+            assert max(calls.values(), default=0) <= 1
+            # an angle that does not move is read from its coefficients
+            assert not any(cubics[key].is_constant for key, _ in calls)
+
+    @pytest.mark.parametrize("name", sorted(PLAIN_DATA_REQUESTS))
+    def test_columns_match_per_pulse_reference(self, name):
+        dsg = design(PLAIN_DATA_REQUESTS[name])
+        t0, tf = dsg.schedule.t0, dsg.schedule.tf
+        for t in (np.linspace(t0, tf, 401), t0 + 0.37 * (tf - t0)):
+            fields = dsg.pulses(t)
+            assert fields.shape == np.shape(t) + (3,)
+            for k, expected in enumerate(_reference_pulses(dsg, t)):
+                assert _same_bits(fields[..., k], expected)
+        t, *columns = dsg.pulses.sample(401)
+        for column, expected in zip(columns, _reference_pulses(dsg, t)):
+            assert _same_bits(column, expected)
