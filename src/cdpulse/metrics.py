@@ -4,7 +4,10 @@ The time-averaged frequency is (1/T) * integral of sqrt(Op^2 + Os^2); the
 energy functional is the integral of (Op^2 + Os^2) as printed, without a
 1/T prefactor (the comparison ratios are prefactor-independent).  Both are
 integrated by composite Simpson, a bit-exact numpy port of the path
-``scipy.integrate.simpson`` takes for an odd sample count with ``x`` given.
+``scipy.integrate.simpson`` takes for an odd sample count with ``x`` given,
+in one call on the stacked integrands.  The pulses are evaluated once, on
+one fine grid; the coarse estimate behind ``quad_error`` reads its even
+points.
 
 The comparison surface is evaluated on the whole (mu, eta) grid at once and
 equals the scalar ``mode_comparison_ratio`` bit for bit.  It is libm-exact:
@@ -66,12 +69,14 @@ class RatioSurface:
         )
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
-    """Composite Simpson of ``y`` sampled at an odd number of points ``x``.
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson along the last axis of ``y``, sampled at an odd
+    number of points ``x``.
 
     scipy's ``_basic_simpson`` for non-uniform spacing in its operation
-    order, so the two agree bit for bit; as there, a spacing that rounds to
-    zero gets a zero weight instead of a division by zero.
+    order, so the two agree bit for bit, row by row for stacked ``y``; as
+    there, a spacing that rounds to zero gets a zero weight instead of a
+    division by zero.
     """
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
@@ -80,18 +85,9 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.float64:
     r = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
     inv_r = np.true_divide(1.0, r, out=np.zeros_like(r), where=r != 0)
     mid = np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - inv_r) + y[1:-1:2] * (hsum * mid)
-                                + y[2::2] * (2.0 - r)))
-
-
-def _quadrature(pulses: PulseSet, t0: float, tf: float, points: int):
-    # composite Simpson needs an odd sample count
-    n = points if points % 2 == 1 else points + 1
-    t = np.linspace(t0, tf, n)
-    quad = np.hypot(*pulses(t).T[:2])
-    omega = _simpson(quad, t) / (tf - t0)
-    energy = _simpson(quad**2, t)
-    return omega, energy, float(quad.max())
+    return np.sum(hsum / 6.0 * (y[..., :-2:2] * (2.0 - inv_r)
+                                + y[..., 1:-1:2] * (hsum * mid)
+                                + y[..., 2::2] * (2.0 - r)), axis=-1)
 
 
 def drive_metrics(
@@ -102,19 +98,30 @@ def drive_metrics(
 ) -> DriveMetrics:
     """Integrate the frequency/energy functionals by composite Simpson.
 
-    The quadrature is repeated at twice the point count; the doubled
-    result is returned and the relative change recorded as ``quad_error``.
+    The pulses are sampled once, on one fine grid of 2m + 1 points, where m
+    is ``quad_points`` rounded up to an even count; the coarse estimate
+    comes from its even points (m + 1 of them).  The fine result is
+    returned and the relative change from the coarse one recorded as
+    ``quad_error``.
     """
+    if not isinstance(quad_points, (int, np.integer)):
+        raise InvalidInputError(f"quad_points must be an integer, got {quad_points!r}")
     if quad_points < 64:
         raise InvalidInputError(f"need quad_points >= 64, got {quad_points}")
-    # the doubled pass holds about eight float arrays of 2*quad_points + 1
-    check_array_budget("quad_points", 2 * quad_points + 1, 8 * 8)
+    m = int(quad_points)
+    m += m % 2  # the coarse grid t[::2] needs an odd point count too
+    # the stacked fine pass holds about eleven float arrays of 2*m + 1
+    check_array_budget("quad_points", 2 * m + 1, 11 * 8)
     t0 = pulses.t0 if t0 is None else t0
     tf = pulses.tf if tf is None else tf
     if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
         raise InvalidIntervalError(f"need finite t0 < tf, got [{t0}, {tf}]")
-    o1, e1, _ = _quadrature(pulses, t0, tf, quad_points)
-    o2, e2, peak = _quadrature(pulses, t0, tf, 2 * quad_points)
+    t = np.linspace(t0, tf, 2 * m + 1)
+    quad = np.hypot(*pulses(t).T[:2])
+    y = np.stack((quad, quad**2))
+    o1, e1 = _simpson(y[:, ::2], t[::2])
+    o2, e2 = _simpson(y, t)
+    o1, o2 = o1 / (tf - t0), o2 / (tf - t0)
     scale = max(abs(o2), abs(e2), 1e-300)
     quad_error = max(abs(o2 - o1), abs(e2 - e1)) / scale
     return DriveMetrics(
@@ -122,7 +129,7 @@ def drive_metrics(
         energy_bar=float(e2),
         T=tf - t0,
         quad_error=float(quad_error),
-        peak=peak,
+        peak=float(quad.max()),
     )
 
 
@@ -140,8 +147,10 @@ def mode_comparison_ratio(mu: float, eta: float, nu: float | None = None):
     arcsin branch and the two expressions differ; the comparison surface
     follows this closed form.)  Returns (0, 0) in the masked region
     eta^2 + mu^2 > 1.  The energy ratio is the square of the frequency
-    ratio.
+    ratio.  A non-finite mu, eta or nu is rejected, never masked.
     """
+    if not all(map(math.isfinite, (mu, eta) if nu is None else (mu, eta, nu))):
+        raise InvalidInputError(f"mu, eta and nu must be finite, got {mu}, {eta}, {nu}")
     if mu < 0.0 or eta < 0.0:
         raise InvalidInputError("mu and eta must be nonnegative")
     if eta**2 + mu**2 > 1.0 + 1e-12:

@@ -28,7 +28,7 @@ from cdpulse import (
 )
 from cdpulse import metrics
 from cdpulse.errors import InvalidInputError, InvalidIntervalError
-from cdpulse.metrics import _simpson
+from cdpulse.metrics import DriveMetrics, _simpson
 from cdpulse.protocols import PulseSet
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -134,6 +134,19 @@ class TestModeComparisonRatio:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             mode_comparison_ratio(-0.1, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_rejected(self, bad, slot):
+        # inf in mu or eta falls in the masked region, which must not read
+        # it as a valid point and return (0, 0)
+        args = [0.3, 0.4, 0.5]
+        args[slot] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            mode_comparison_ratio(*args)
+        if slot < 2:
+            with pytest.raises(InvalidInputError, match="finite"):
+                mode_comparison_ratio(*args[:2])
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +271,23 @@ class TestSimpson:
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-5.0, 5.0)
             assert same_bits(np.float64(_simpson(y, x)), np.float64(scipy_simpson(y, x)))
 
+    @pytest.mark.parametrize("n", [3, 5, 513, 1025])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_stacked_rows_bit_for_bit(self, n, uniform):
+        # every row of a (2, n) stack, and of the strided even-point subgrid
+        # of a (2, 2n - 1) stack, equals the 1-D call and scipy's axis=-1
+        rng = np.random.default_rng(3 * n + uniform)
+        for _ in range(20):
+            fine = random_grid(rng, 2 * n - 1, uniform)
+            y = rng.standard_normal((2, fine.size)) * 10.0 ** rng.uniform(-5.0, 5.0)
+            y[1] = y[0] ** 2
+            for values, x in ((y[:, :n], fine[:n]), (y[:, ::2], fine[::2]), (y, fine)):
+                got = _simpson(values, x)
+                assert got.shape == (2,)
+                rows = np.array([_simpson(row, x) for row in values])
+                assert same_bits(got, rows)
+                assert same_bits(got, scipy_simpson(values, x))
+
     def test_zero_spacings_warn_nothing(self):
         # 1e-9 wide at 1e8: linspace spacings round to 0 or one ulp of 1e8
         x = np.linspace(1e8, 1e8 + 1e-9, 513)
@@ -282,6 +312,51 @@ def metric_requests():
                          Protocol.MULTI_MODE):
             yield ProtocolRequest(protocol, TargetState.normalized(1.0, 2.0, 3.0), tf=T)
         yield ProtocolRequest(Protocol.PHASED, TargetState(0.6, 0.0, 0.8), tf=T)
+
+
+def two_grid_drive_metrics(pulses, quad_points):
+    """The two-grid algorithm, for even ``quad_points``: separate linspace
+    grids of q + 1 and 2q + 1 points, one 1-D ``_simpson`` per integrand."""
+    t0, tf = pulses.t0, pulses.tf
+
+    def quadrature(points):
+        t = np.linspace(t0, tf, points + 1)
+        quad = np.hypot(*pulses(t).T[:2])
+        return _simpson(quad, t) / (tf - t0), _simpson(quad**2, t), float(quad.max())
+
+    o1, e1, _ = quadrature(quad_points)
+    o2, e2, peak = quadrature(2 * quad_points)
+    scale = max(abs(o2), abs(e2), 1e-300)
+    quad_error = max(abs(o2 - o1), abs(e2 - e1)) / scale
+    return DriveMetrics(float(o2), float(e2), tf - t0, float(quad_error), peak)
+
+
+class TestDriveMetricsTwoGridReference:
+    @pytest.mark.parametrize("quad_points", [64, 512, 1000])
+    @pytest.mark.parametrize("request_", list(metric_requests()),
+                             ids=lambda r: f"{r.protocol.value}-{r.branch.value}-T{r.tf}")
+    def test_every_field_bit_for_bit(self, request_, quad_points):
+        # the coarse pass on the fine grid's even points equals a separate
+        # linspace of q + 1 points, and a stacked _simpson row the 1-D call
+        pulses = design(request_).pulses
+        got = drive_metrics(pulses, quad_points=quad_points)
+        want = two_grid_drive_metrics(pulses, quad_points)
+        assert same_bits(np.array(astuple(got)), np.array(astuple(want)))
+
+    @pytest.mark.parametrize("quad_points, points", [(64, 129), (512, 1025), (65, 133)])
+    def test_one_pulse_evaluation(self, quad_points, points, monkeypatch):
+        shapes = []
+        evaluate = PulseSet.__call__
+
+        def counted(self, t):
+            shapes.append(np.shape(t))
+            return evaluate(self, t)
+
+        monkeypatch.setattr(PulseSet, "__call__", counted)
+        tgt = TargetState(SQ3, SQ3, SQ3)
+        drive_metrics(design(ProtocolRequest(Protocol.MULTI_MODE, tgt)).pulses,
+                      quad_points=quad_points)
+        assert shapes == [(points,)]
 
 
 class TestDriveMetricsMatchesScipy:
@@ -311,6 +386,24 @@ class TestDriveMetricsInputs:
     def test_bad_interval(self, t0, tf):
         with pytest.raises(InvalidIntervalError):
             drive_metrics(self.pulses, t0=t0, tf=tf)
+
+    def test_odd_quad_points_round_up(self):
+        for request_ in metric_requests():
+            pulses = design(request_).pulses
+            odd = drive_metrics(pulses, quad_points=65)
+            even = drive_metrics(pulses, quad_points=66)
+            assert same_bits(np.array(astuple(odd)), np.array(astuple(even)))
+
+    @pytest.mark.parametrize("quad_points", [512.0, "512", None, np.float64(512.0)],
+                             ids=["float", "str", "None", "float64"])
+    def test_non_integer_quad_points(self, quad_points):
+        with pytest.raises(InvalidInputError, match="integer"):
+            drive_metrics(self.pulses, quad_points=quad_points)
+
+    def test_numpy_integer_quad_points(self):
+        pulses = design(ProtocolRequest(Protocol.MULTI_MODE, TargetState(SQ3, SQ3, SQ3))).pulses
+        got = drive_metrics(pulses, quad_points=np.int64(512))
+        assert same_bits(np.array(astuple(got)), np.array(astuple(drive_metrics(pulses))))
 
     def test_point_count_budget(self):
         tracemalloc.start()
