@@ -11,16 +11,31 @@ against entrywise.
 
 Evaluators are vectorized over time: ``spec.evaluator(t)`` with ``t`` of
 shape S returns shape S + (d, d), and a scalar ``t`` returns one (d, d)
-matrix.  Time evolution uses the classical fixed-step fourth-order
-Runge-Kutta scheme with hbar = 1.  Because the right-hand side -iH(t)psi is
-linear in psi, each RK4 step is a fixed propagator.  ``evolve`` works in
-real arithmetic: A = -iH acts on x = (Re psi, Im psi) as the real 2d x 2d
-matrix [[Re A, -Im A], [Im A, Re A]], whose batched products are several
-times cheaper in numpy than complex d x d ones.  It evaluates A on whole
-blocks of stage times, builds the step propagators with batched matrix
-products, and applies them with a two-level scan: running products within
-chunks of about sqrt(n/2) steps, batched across chunks, then one
-matrix-vector product per chunk to chain the chunk starts.
+matrix.  Time evolution uses hbar = 1 and works in real arithmetic: A = -iH
+acts on x = (Re psi, Im psi) as the real 2d x 2d matrix [[Re A, -Im A],
+[Im A, Re A]], whose batched products are several times cheaper in numpy
+than complex d x d ones.
+
+Where a Lambda schedule freezes one angle, H(t) points along one fixed
+axis: H(t) = g'(t) G for a schedule cubic g and a constant Hermitian G
+with G^3 = G.  With theta constant (single-II-nomw, multi and the cavity
+mapping) g = phi and G = sin(theta) G_p + cos(theta) G_s; with phi constant
+(single-I) g = theta and G = -G_a (+G_a for phased pulses).  Such a spec
+carries a ``Rotation`` as its ``source``.  Every H(t) then commutes with
+every other, so the first Magnus term is the exact propagator,
+exp(-i a G) with a = g(t) - g(t0), and G^3 = G reduces it to
+I - i sin(a) G + (cos(a) - 1) G^2: ``evolve`` writes each state in closed
+form from the initial one, without stepping and without calling the
+evaluator.
+
+Every other spec (single-II, phased, four-level, from-basis and custom) is
+integrated with the classical fixed-step fourth-order Runge-Kutta scheme.
+Because the right-hand side -iH(t)psi is linear in psi, each RK4 step is a
+fixed propagator.  ``evolve`` evaluates A on whole blocks of stage times,
+builds the step propagators with batched matrix products, and applies them
+with a two-level scan: running products within chunks of about sqrt(n/2)
+steps, batched across chunks, then one matrix-vector product per chunk to
+chain the chunk starts.
 """
 
 from __future__ import annotations
@@ -44,9 +59,10 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .protocols import PulseSet
+    from .schedules import CubicPolynomial
 
 NORM_DRIFT_TOL = 1e-6
-BLOCK_STEPS = 512  # RK4 steps whose propagators are built together
+BLOCK_STEPS = 512  # steps whose states (and RK4 propagators) are built together
 
 # H(t) = sum_k c_k(t) G_k for the closed-form couplings, with the pulse or
 # angle-rate coefficients c_k in the order given in each comment.
@@ -72,16 +88,34 @@ _FOUR_LEVEL_GENERATORS = np.array(
 )
 
 
+@dataclass(frozen=True, eq=False)
+class Rotation:
+    """H(t) = angle'(t) * generator: a fixed axis turned through a cubic.
+
+    ``generator`` is a Hermitian (d, d) matrix G with G^3 = G (eigenvalues
+    in {0, +-1}) and ``angle`` the schedule's ``CubicPolynomial``, so the
+    propagator from t0 to t is exp(-i a G), a = angle(t) - angle(t0).
+    Compared by identity (``eq=False``): an array field has no boolean ==.
+    """
+
+    generator: np.ndarray
+    angle: "CubicPolynomial"
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """A time-dependent Hermitian matrix: dimension plus evaluator.
+    """A time-dependent Hermitian matrix: dimension, evaluator and source.
 
     ``evaluator(t)`` maps times of shape S to matrices of shape S + (d, d).
+    ``source`` is a label naming the form, or a ``Rotation`` that the
+    evaluator equals; ``evolve`` integrates a spec whose source is a
+    ``Rotation`` in closed form.  Wrappers that rebuild a spec as
+    (dimension, evaluator, source) keep the closed form.
     """
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    source: str = "custom"
+    source: "str | Rotation" = "custom"
 
     def __call__(self, t) -> np.ndarray:
         return self.evaluator(t)
@@ -122,7 +156,7 @@ def _real_form(h: np.ndarray) -> np.ndarray:
 
 
 def _linear_hamiltonian(
-    generators: np.ndarray, coefficients: Callable, source: str
+    generators: np.ndarray, coefficients: Callable, source: "str | Rotation"
 ) -> HamiltonianSpec:
     """H(t) = sum_k c_k(t) * generators[k], all c_k from one callable.
 
@@ -141,6 +175,22 @@ def _linear_hamiltonian(
     return HamiltonianSpec(dimension, evaluator, source=source)
 
 
+def _lambda_rotation(pulses: "PulseSet") -> Rotation | None:
+    """The ``Rotation`` of a Lambda drive with theta or phi frozen, else None.
+
+    Constant theta: H = dphi (sin(theta) G_p + cos(theta) G_s), the sine and
+    cosine taken with libm as ``PulseSet`` takes them.  Constant phi:
+    H = -+dtheta G_a, the sign of ``PulseSet``'s Omega_a.
+    """
+    s = pulses.schedule
+    g_p, g_s, g_a = _LAMBDA_GENERATORS
+    if s.theta.is_constant:
+        return Rotation(math.sin(s.theta.a0) * g_p + math.cos(s.theta.a0) * g_s, s.phi)
+    if s.phi.is_constant:
+        return Rotation(g_a if pulses.phased else -g_a, s.theta)
+    return None
+
+
 def hamiltonian_from_basis(basis: MovingBasis) -> HamiltonianSpec:
     """Generic counterdiabatic Hamiltonian i * sum_n |dphi_n><phi_n|."""
 
@@ -156,9 +206,11 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     """Three-level Lambda coupling matrix with purely imaginary couplings.
 
     Pattern: zero diagonal, H12 = -i*Omega_p, H23 = -i*Omega_s,
-    H13 = +i*Omega_a (the Omega_a = -dtheta convention).
+    H13 = +i*Omega_a (the Omega_a = -dtheta convention).  With theta or phi
+    constant the spec's source is its ``Rotation``.
     """
-    return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses, "three-level-lambda")
+    return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses,
+                               _lambda_rotation(pulses) or "three-level-lambda")
 
 
 def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -200,7 +252,8 @@ def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
 
     Basis ordering: |e,g>|0>, |g,g>|1>, |g,e>|0>.  Only pulse sets without
     a ground-ground coupling (constant theta: Omega_a identically zero) can
-    be mapped; the matrix is then the Lambda matrix without its Omega_a term.
+    be mapped; the matrix is then the Lambda matrix without its Omega_a term,
+    and the spec's source its ``Rotation``.
     """
     if not pulses.schedule.theta.is_constant:
         raise MappingUnsupportedError(
@@ -210,7 +263,8 @@ def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     def couplings(t) -> np.ndarray:
         return pulses(t)[..., :2]
 
-    return _linear_hamiltonian(_LAMBDA_GENERATORS[:2], couplings, "cavity-qed")
+    return _linear_hamiltonian(_LAMBDA_GENERATORS[:2], couplings,
+                               _lambda_rotation(pulses))
 
 
 @dataclass(frozen=True)
@@ -341,6 +395,21 @@ def _propagate_block(spec: HamiltonianSpec, t: np.ndarray, h: float,
     return _scan(propagators.reshape(chunks, length, m, m), n, x0)
 
 
+def _rotate(rotation: Rotation, t: np.ndarray, t0: float, x0: np.ndarray) -> np.ndarray:
+    """The exact real states exp(-i a G) psi0 at the times t, from x0 at t0.
+
+    With a = angle(t) - angle(t0) and M the real form of -iG, each state is
+    x0 + sin(a) M x0 + 2 sin^2(a/2) M^2 x0, one row per time.  The Lambda
+    generators are imaginary, so -iG is real, M is block diagonal and a
+    real x0 stays exactly real.
+    """
+    a = rotation.angle(t) - rotation.angle(t0)
+    half = np.sin(0.5 * a)
+    m = _real_form(rotation.generator)
+    mx = m @ x0
+    return x0 + np.stack((np.sin(a), 2.0 * half * half), axis=-1) @ np.stack((mx, m @ mx))
+
+
 def evolve(
     spec: HamiltonianSpec,
     psi0: np.ndarray,
@@ -348,10 +417,18 @@ def evolve(
     tf: float,
     steps: int = 4000,
 ) -> Trajectory:
-    """Integrate i d/dt psi = H(t) psi with fixed-step RK4.
+    """Integrate i d/dt psi = H(t) psi on the grid t0 + k (tf - t0)/steps.
 
     The state is propagated as x = (Re psi, Im psi) under the real form of
-    A = -iH (module docstring).  For each block of up to BLOCK_STEPS steps,
+    A = -iH (module docstring), block by block of up to BLOCK_STEPS steps.
+
+    A spec whose source is a ``Rotation`` is propagated exactly: each
+    state is exp(-i a G) psi0 with a = angle(t_k) - angle(t0), written in
+    closed form from psi0 (``_rotate``).  The evaluator is never called and
+    nothing accumulates from step to step; the step count sets only the
+    output grid.
+
+    Every other spec is integrated with fixed-step RK4.  For each block,
     A is evaluated on the stage grids t_k, t_k + h/2 and t_k + h, and the
     step propagators
 
@@ -362,10 +439,15 @@ def evolve(
     classical RK4 update regrouped, equal to it up to rounding.  The block's
     n states come from a two-level scan: chunks of about sqrt(n/2) steps hold
     running products, and the chunk starts are chained one matrix-vector
-    product at a time, so a block costs O(sqrt(n)) numpy calls.  No per-step
-    renormalization is applied; a norm drift beyond 1e-6 (or a non-finite
-    state) raises IntegrationAccuracyError (use more steps).
+    product at a time, so a block costs O(sqrt(n)) numpy calls.
+
+    No per-step renormalization is applied on either path; a norm drift
+    beyond 1e-6 (or a non-finite state) raises IntegrationAccuracyError
+    (use more steps).  ``steps`` must be an integer (a numpy one will do)
+    of at least 100.
     """
+    if not isinstance(steps, (int, np.integer)):
+        raise InvalidInputError(f"steps must be an integer, got {steps!r}")
     if steps < 100:
         raise InvalidInputError(f"need steps >= 100, got {steps}")
     if not (np.isfinite(t0) and np.isfinite(tf) and tf > t0):
@@ -385,13 +467,17 @@ def evolve(
     states[0] = psi
     # (Re, Im) pairs of the complex states, written block by block
     parts = states.view(np.float64).reshape(steps + 1, d, 2)
-    x = np.concatenate([psi.real, psi.imag])
+    x0 = x = np.concatenate([psi.real, psi.imag])
+    rotation = spec.source if isinstance(spec.source, Rotation) else None
 
     for start in range(0, steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, steps)
         # overflow and NaN are left to the norm check at the end of the block
         with np.errstate(over="ignore", invalid="ignore"):
-            block = _propagate_block(spec, times[start:stop], h, x)
+            if rotation is None:
+                block = _propagate_block(spec, times[start:stop], h, x)
+            else:
+                block = _rotate(rotation, times[start + 1 : stop + 1], t0, x0)
             drift = np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0)
         bad = ~(drift <= NORM_DRIFT_TOL)
         if bad.any():

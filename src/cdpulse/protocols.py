@@ -182,7 +182,12 @@ class PulseSet:
         return out
 
     def sample(self, n: int = 1001):
-        """Uniform sample grid: (t, Omega_p, Omega_s, Omega_a) arrays."""
+        """Uniform sample grid: (t, Omega_p, Omega_s, Omega_a) arrays.
+
+        ``n`` must be an integer (a numpy one will do) of at least 2.
+        """
+        if not isinstance(n, (int, np.integer)):
+            raise InvalidInputError(f"sample count must be an integer, got {n!r}")
         if n < 2:
             raise InvalidInputError(f"need at least 2 samples, got {n}")
         check_array_budget("sample count", n, 4 * 8)
@@ -230,6 +235,15 @@ class Design:
     @property
     def pulses(self) -> PulseSet:
         return PulseSet(self.schedule, phased=self.protocol is Protocol.PHASED)
+
+    def exact_state(self, times) -> np.ndarray:
+        """The exact state sum_n c_n phi_n(t): times of shape S give S + (3,).
+
+        The mode coefficients c_n are constant under counterdiabatic
+        driving, so this is the oracle every integrated trajectory is
+        checked against.
+        """
+        return np.asarray(self.mode_coefficients, complex) @ self.basis.vectors(times)
 
     @property
     def hamiltonian(self) -> HamiltonianSpec:

@@ -34,7 +34,8 @@ from cdpulse import (
 )
 from cdpulse import dynamics, errors
 from cdpulse.basis import MovingBasis
-from cdpulse.dynamics import BLOCK_STEPS, max_steps
+from cdpulse.dynamics import BLOCK_STEPS, Rotation, max_steps
+from cdpulse.protocols import PulseSet
 from cdpulse.errors import (
     IntegrationAccuracyError,
     InvalidInputError,
@@ -392,6 +393,8 @@ class TestBlockPropagation:
     @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
     def test_matches_per_step_rk4(self, name, steps):
         spec, psi0, t0, tf = protocol_cases()[name]
+        # a label-only spec always steps RK4, also for a single-axis design
+        spec = HamiltonianSpec(spec.dimension, spec.evaluator)
         traj = evolve(spec, psi0, t0, tf, steps=steps)
         expected = reference_rk4(spec, psi0, t0, tf, steps)
         assert traj.states.shape == expected.shape
@@ -450,6 +453,129 @@ class TestBlockPropagation:
 
         with pytest.raises(IntegrationAccuracyError, match=r"at t = 0\.3;"):
             evolve(HamiltonianSpec(3, evaluator), [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
+
+
+SINGLE_AXIS_CASES = ["single-II-nomw", "multi", "cavity-qed"] + [
+    f"single-I-{b.value}" for b in Branch]
+
+
+def single_axis_case(name):
+    """(design, spec) of a single-axis design; the cavity runs the bell preset."""
+    if name == "cavity-qed":
+        d = design_multimode(preset_targets("cavity-bell"))
+        return d, cavity_qed_hamiltonian(d.pulses)
+    if name == "single-II-nomw":
+        d = design(ProtocolRequest(Protocol.SINGLE_MODE_II_NO_MICROWAVE,
+                                   TargetState(SQ2, 0.0, SQ2), tf=3.0))
+    elif name == "multi":
+        d = design(ProtocolRequest(Protocol.MULTI_MODE, TargetState(SQ3, SQ3, SQ3)))
+    else:
+        branch = Branch(name[len("single-I-"):])
+        d = design(ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(0.6, 0.0, 0.8),
+                                   t0=0.2, tf=1.7, branch=branch))
+    return d, d.hamiltonian
+
+
+def package_rotations():
+    """Every kind of spec the package builds with a ``Rotation`` source."""
+    specs = {name: single_axis_case(name)[1] for name in SINGLE_AXIS_CASES}
+    phased = design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+                                    tf=2.0, lambda_rate=0.7))
+    # a phased pulse set has Omega_a = +dtheta and a frozen phi
+    specs["phased-pulses"] = lambda_hamiltonian(phased.pulses)
+    # theta stays at pi/2 and phi at 0: no angle moves
+    specs["single-II-identity"] = design(ProtocolRequest(
+        Protocol.SINGLE_MODE_II, TargetState(1.0, 0.0, 0.0))).hamiltonian
+    return specs
+
+
+class TestSingleAxis:
+    """Frozen-angle Lambda designs are propagated by their exact rotation."""
+
+    @pytest.mark.parametrize("steps", [100, 400, 401, 1537, 4000])
+    @pytest.mark.parametrize("name", SINGLE_AXIS_CASES)
+    def test_single_axis_is_exact(self, name, steps):
+        d, spec = single_axis_case(name)
+        t0, tf = d.schedule.t0, d.schedule.tf
+        assert isinstance(spec.source, Rotation)
+        traj = evolve(spec, d.initial_state, t0, tf, steps=steps)
+        error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times), axis=1))
+        assert error <= 1e-14
+
+    @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
+    def test_rebuilt_spec_takes_the_same_path(self, name):
+        # a wrapper that rebuilds the spec from its three fields, as a
+        # tracer does, must neither change the trajectory nor the path
+        spec, psi0, t0, tf = protocol_cases()[name]
+        calls = []
+
+        def passthrough(t):
+            calls.append(np.shape(t))
+            return spec.evaluator(t)
+
+        rebuilt = HamiltonianSpec(spec.dimension, passthrough, spec.source)
+        original = evolve(spec, psi0, t0, tf, steps=1537)
+        traj = evolve(rebuilt, psi0, t0, tf, steps=1537)
+        assert np.array_equal(traj.times, original.times)
+        assert traj.states.tobytes() == original.states.tobytes()
+        single_axis = name in ("single-I", "single-II-nomw", "multi", "cavity-qed")
+        assert isinstance(spec.source, Rotation) is single_axis
+        assert (len(calls) == 0) is single_axis
+
+    @pytest.mark.parametrize("name", sorted(package_rotations()))
+    def test_rotation_is_the_evaluator(self, name):
+        spec = package_rotations()[name]
+        rotation = spec.source
+        assert isinstance(rotation, Rotation)
+        g = rotation.generator
+        assert g.shape == (spec.dimension, spec.dimension)
+        assert np.array_equal(g, g.conj().T)
+        assert np.max(np.abs(g @ g @ g - g)) <= 1e-15
+        t0, tf = rotation.angle.t0, rotation.angle.tf
+        times = np.linspace(t0, tf, 1001)
+        h = spec.evaluator(times)
+        expected = rotation.angle.derivative(times)[:, None, None] * g
+        ulp = np.spacing(np.max(np.abs(h), axis=(-2, -1)))
+        assert np.all(np.max(np.abs(h - expected), axis=(-2, -1)) <= 4 * ulp)
+
+    def test_moving_angles_keep_the_label(self):
+        assert symmetric_design().hamiltonian.source == "three-level-lambda"
+        theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
+        pulses = PulseSet(AngleSchedule(0.0, 1.0, theta=theta, phi=theta))
+        assert lambda_hamiltonian(pulses).source == "three-level-lambda"
+        for name in ("phased", "four-level", "from-basis", "from-basis-four-level"):
+            assert isinstance(evaluator_specs()[name].source, str)
+
+    @pytest.mark.parametrize("name", ["single-I-arccos-plus", "multi"])
+    def test_single_axis_drift_is_rounding(self, name):
+        d, spec = single_axis_case(name)
+        traj = evolve(spec, d.initial_state, d.schedule.t0, d.schedule.tf, steps=100)
+        assert np.max(np.abs(traj.norms - 1.0)) <= 1e-15
+        assert 1.0 - traj.fidelity_to(d.target_vector) <= 1e-15
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("steps", [400.0, "400", None, np.float64(400)])
+    def test_non_integer_steps_rejected(self, steps):
+        spec, psi0, t0, tf = protocol_cases()["single-II"]
+        with pytest.raises(InvalidInputError, match="integer"):
+            evolve(spec, psi0, t0, tf, steps=steps)
+
+    @pytest.mark.parametrize("n", [11.0, "11", None, np.float64(11)])
+    def test_non_integer_sample_count_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="integer"):
+            symmetric_design().pulses.sample(n)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+    def test_numpy_integers_accepted(self, kind):
+        for name in ("single-II", "multi"):
+            spec, psi0, t0, tf = protocol_cases()[name]
+            expected = evolve(spec, psi0, t0, tf, steps=400).states
+            assert np.array_equal(evolve(spec, psi0, t0, tf, steps=kind(400)).states,
+                                  expected)
+        pulses = symmetric_design().pulses
+        for a, b in zip(pulses.sample(kind(11)), pulses.sample(11)):
+            assert np.array_equal(a, b)
 
 
 class TestSizeGuards:

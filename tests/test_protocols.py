@@ -642,3 +642,37 @@ class TestPlainData:
         t, *columns = dsg.pulses.sample(401)
         for column, expected in zip(columns, _reference_pulses(dsg, t)):
             assert _same_bits(column, expected)
+
+
+EXACT_STATE_REQUESTS = {
+    **{f"single-I-{b.value}": ProtocolRequest(
+        Protocol.SINGLE_MODE_I, TargetState(0.6, 0.0, 0.8), tf=2.5, branch=b)
+       for b in Branch},
+    **{name: PLAIN_DATA_REQUESTS[name]
+       for name in ("single-II", "single-II-nomw", "multi", "phased")},
+}
+
+
+class TestExactState:
+    @pytest.mark.parametrize("name", sorted(EXACT_STATE_REQUESTS))
+    def test_equals_the_scalar_loop_bit_for_bit(self, name):
+        dsg = design(EXACT_STATE_REQUESTS[name])
+        times = np.linspace(dsg.schedule.t0, dsg.schedule.tf, 401)
+        c = np.asarray(dsg.mode_coefficients, dtype=complex)
+        scalar = np.array([c @ dsg.basis.vectors(float(t)) for t in times])
+        assert _same_bits(dsg.exact_state(times), scalar)
+
+    @pytest.mark.parametrize("name", sorted(EXACT_STATE_REQUESTS))
+    def test_runs_from_the_initial_state_to_the_target(self, name):
+        dsg = design(EXACT_STATE_REQUESTS[name])
+        t0, tf = dsg.schedule.t0, dsg.schedule.tf
+        assert np.max(np.abs(dsg.exact_state(t0) - dsg.initial_state)) <= 1e-15
+        assert abs(np.vdot(dsg.target_vector, dsg.exact_state(tf))) ** 2 >= 1 - 1e-14
+
+    def test_shape_follows_the_times(self):
+        dsg = design(PLAIN_DATA_REQUESTS["multi"])
+        assert dsg.exact_state(0.5).shape == (3,)
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        states = dsg.exact_state(grid)
+        assert states.shape == (3, 4, 3)
+        assert _same_bits(states[1, 2], dsg.exact_state(grid[1, 2]))
