@@ -1,10 +1,14 @@
 """Command-line front end: design pulses, run simulations, emit data files.
 
-Subcommands: design, evolve, sweep, figures, metrics.  All data files are
-CSV with fixed 17-significant-digit formatting (byte-identical for
-identical configs); run summaries are JSON.  Exit codes: 0 success,
-2 validation error, 3 integration-accuracy error, 4 usage error (a bad
-command line, an unreadable config file or an unwritable output file).
+Subcommands: design, evolve, sweep, figures, metrics.  Data files are CSV,
+or JSON with --format json; run summaries are JSON.  Every CSV cell is the
+'%.17g' text of its value, so identical configs give byte-identical files.
+numpy writes that text a few thousand cells at a time (_csvtext.csv_text);
+Python's own '%.17g' formats NaN, infinities, subnormal and out-of-range
+values, and values within 1e-6 of a 17th-digit rounding tie.  Exit codes:
+0 success, 2 validation error, 3 integration-accuracy error, 4 usage error
+(a bad command line, an unreadable config file or an unwritable output
+file).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
+from ._csvtext import csv_text
 from .dynamics import (
     Trajectory,
     bloch_coordinates,
@@ -54,9 +59,9 @@ EXIT_USAGE = 4
 # below this residual, reject above it.
 CLI_NORM_TOL = 1e-2
 
-# rows per %-format call of _write_csv: keeps the per-cell work in C and the
-# transient tuple and text of one chunk to a few hundred kB
-CSV_CHUNK_ROWS = 1024
+# cells per csv_text call of _write_csv: its temporaries, about 150 B per
+# cell, stay near 0.6 MB and in cache
+CSV_CHUNK_CELLS = 4096
 
 PULSE_HEADER = ["t", "omega_p", "omega_s", "omega_a"]
 SURFACE_HEADER = ["mu", "eta", "omega_ratio", "energy_ratio"]
@@ -86,14 +91,13 @@ def _column_block(columns) -> np.ndarray:
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Header line, then one row per sample, every value as ``%.17g``."""
     block = _column_block(columns)
-    line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    rows = max(1, CSV_CHUNK_CELLS // block.shape[1])
     with _file_access(path, "write"):
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(block), CSV_CHUNK_ROWS):
-                chunk = block[start:start + CSV_CHUNK_ROWS]
-                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for start in range(0, len(block), rows):
+                fh.write(csv_text(block[start:start + rows]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -251,12 +255,13 @@ def _trajectory_columns(dsg: Design, traj: Trajectory):
     """(header, columns) for the trajectory file, protocol-dependent."""
     dim = traj.dimension
     header = ["t"] + [f"P{n}" for n in range(1, dim + 1)]
-    cols = [traj.times] + [traj.populations[:, n] for n in range(dim)]
+    pops = traj.populations
+    cols = [traj.times] + [pops[:, n] for n in range(dim)]
     for n in range(dim):
         header += [f"re_a{n + 1}", f"im_a{n + 1}"]
         cols += [traj.states[:, n].real, traj.states[:, n].imag]
     header.append("norm")
-    cols.append(traj.norms)
+    cols.append(np.sqrt(np.sum(pops, axis=1)))  # traj.norms, from pops
     if dsg.protocol is Protocol.PHASED:
         extraction = extract_theta_kappa(traj)
         bloch = bloch_coordinates(traj)
@@ -267,7 +272,7 @@ def _trajectory_columns(dsg: Design, traj: Trajectory):
 
 
 def _write_table(out: Path, name: str, header: list[str], columns,
-                 fmt: str = "csv") -> None:
+                 fmt: str) -> None:
     """``name.csv``, or ``name.json`` with a header and a list of rows."""
     if fmt == "json":
         _write_json(out / f"{name}.json",
@@ -277,7 +282,7 @@ def _write_table(out: Path, name: str, header: list[str], columns,
 
 
 def _write_trajectory(out: Path, name: str, dsg: Design, traj: Trajectory,
-                      fmt: str = "csv") -> None:
+                      fmt: str) -> None:
     _write_table(out, name, *_trajectory_columns(dsg, traj), fmt)
 
 
@@ -287,7 +292,7 @@ def cmd_evolve(args) -> int:
     traj = evolve(dsg.hamiltonian, dsg.initial_state, request.t0, request.tf,
                   steps=args.steps)
     out = Path(args.out)
-    _write_trajectory(out, "trajectory", dsg, traj, fmt=args.format)
+    _write_trajectory(out, "trajectory", dsg, traj, args.format)
     _write_json(out / "summary.json", {
         "protocol": dsg.protocol.value,
         "final_populations": [float(p) for p in traj.populations[-1]],
@@ -299,8 +304,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_sweep(args) -> int:
     surface = metrics_mod.ratio_surface(args.resolution)
-    _write_csv(Path(args.out) / "ratio_surface.csv", SURFACE_HEADER,
-               surface.columns())
+    _write_table(Path(args.out), "ratio_surface", SURFACE_HEADER,
+                 surface.columns(), args.format)
     return EXIT_OK
 
 
@@ -369,15 +374,15 @@ def _figure_runs(args):
     fig = args.figure
     if fig == 10:
         surface = metrics_mod.ratio_surface(args.resolution)
-        _write_csv(out / "fig10_ratio_surface.csv", SURFACE_HEADER,
-                   surface.columns())
+        _write_table(out, "fig10_ratio_surface", SURFACE_HEADER,
+                     surface.columns(), args.format)
         return EXIT_OK
     if fig == 13:
         request = preset_targets("cavity-bell", tf=args.T)
         dsg = design(request)
         traj = evolve(cavity_qed_hamiltonian(dsg.pulses), dsg.initial_state,
                       request.t0, request.tf, steps=args.steps)
-        _write_trajectory(out, "fig13_populations", dsg, traj)
+        _write_trajectory(out, "fig13_populations", dsg, traj, args.format)
         return EXIT_OK
     if fig not in FIGURES:
         raise UsageError(f"figure must be 1..13, got {fig}")
@@ -391,12 +396,12 @@ def _figure_runs(args):
                                   **{"tf": args.T, **overrides})
         dsg = design(request)
         if kind == "pulses":
-            _write_csv(out / f"{stem}.csv", PULSE_HEADER,
-                       dsg.pulses.sample(args.steps + 1))
+            _write_table(out, stem, PULSE_HEADER,
+                         dsg.pulses.sample(args.steps + 1), args.format)
         else:
             traj = evolve(dsg.hamiltonian, dsg.initial_state, request.t0,
                           request.tf, steps=args.steps)
-            _write_trajectory(out, stem, dsg, traj)
+            _write_trajectory(out, stem, dsg, traj, args.format)
     return EXIT_OK
 
 

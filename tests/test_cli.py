@@ -176,6 +176,20 @@ class TestSweepAndMetrics:
             payload["omega_ratio"] ** 2, abs=1e-10
         )
 
+    @pytest.mark.parametrize("argv", [["sweep", "--resolution", "12"],
+                                      ["figures", "4", "--steps", "400"]])
+    def test_json_format(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "csv")]) == EXIT_OK
+        assert main(argv + ["--format", "json", "--out", str(tmp_path / "json")]) == EXIT_OK
+        tables = sorted((tmp_path / "csv").glob("*.csv"))
+        assert tables
+        assert not list((tmp_path / "json").glob("*.csv"))
+        for path in tables:
+            header, data = read_csv(path)
+            payload = json.loads((tmp_path / "json" / f"{path.stem}.json").read_text())
+            assert payload["header"] == header
+            assert np.array_equal(np.array(payload["rows"]), data)
+
 
 class TestFigures:
     @pytest.mark.parametrize(
@@ -228,25 +242,49 @@ def edge_values():
     rng = np.random.default_rng(29)
     special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
                2.2250738585072009e-308, 2.2250738585072014e-308, 1e16, -1e16,
-               1e17, 0.1, 1.0 / 3.0, 1.7976931348623157e308, 123456789.0]
+               1e17, 0.1, 1.0 / 3.0, 1.7976931348623157e308, 123456789.0,
+               # round up to the next power of ten
+               9.9999999999999999e-5, 0.99999999999999999, 999999999999999.99,
+               9.99999999999999999e22, -9.9999999999999999e-300,
+               # E = -5, -4, 16 and 17: the edges of fixed notation
+               1.2345e-5, -1.0000000000000001e-5, 0.00012345, 1e-4,
+               12345678901234567.0, 10000000000000002.0, 1.2345678901234568e17]
     bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
                         size=20000, dtype=np.int64)
     subnormal = rng.uniform(-1.0, 1.0, 2000) * 2.2250738585072014e-308
+    # 10^k and its neighbours over the whole fast range and just beyond it
+    # (1e-280 < |x| < 1e290)
+    tens = np.array([float(f"1e{k}") for k in range(-281, 292)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    # exact ties at the 17th digit, 16-digit N + 0.25 or N + 0.75, and the
+    # same significands at other binary exponents
+    ties = rng.integers(10**15, 2**51, 500) + rng.choice([0.25, 0.75], 500)
+    ties = np.concatenate([ties, np.ldexp(ties, rng.integers(-900, 900, 500))])
+    near_2_53 = 2.0**53 + np.arange(-4.0, 5.0)
     values = np.concatenate([special, bits.view(np.float64), subnormal,
-                             rng.standard_normal(2000)])
+                             rng.standard_normal(2000), tens, -tens, ties,
+                             near_2_53, -near_2_53])
     return values[: 4 * (len(values) // 4)].reshape(4, -1)
 
 
 class TestCsvWriter:
     def test_matches_per_cell_writer(self, tmp_path):
-        # more rows than one chunk, a partial last chunk and an integer column
-        columns = list(edge_values())
-        columns.append(np.arange(len(columns[0])))
-        assert len(columns[0]) > 2 * cli.CSV_CHUNK_ROWS
-        header = ["a", "b", "c", "d", "n"]
-        cli._write_csv(tmp_path / "new.csv", header, columns)
-        reference_write_csv(tmp_path / "old.csv", header, columns)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        values = edge_values()
+        # more cells than two chunks, a partial last chunk and an integer column
+        columns = list(values) + [np.arange(values.shape[1])]
+        assert len(columns[0]) * len(columns) > 2 * cli.CSV_CHUNK_CELLS
+        assert len(columns[0]) % (cli.CSV_CHUNK_CELLS // len(columns)) != 0
+        # then one row, one column and no row of the same cells
+        cells = np.stack(columns).T.reshape(-1)
+        blocks = [columns] + [
+            list(cells[: rows * cols].reshape(rows, cols).T)
+            for rows, cols in [(1, 5), (3 * cli.CSV_CHUNK_CELLS + 7, 1), (0, 5)]]
+        for i, block in enumerate(blocks):
+            header = ["a", "b", "c", "d", "n"][: len(block)]
+            new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
+            cli._write_csv(new, header, block)
+            reference_write_csv(old, header, block)
+            assert new.read_bytes() == old.read_bytes(), (i, header)
 
     def test_empty_columns(self, tmp_path):
         cli._write_csv(tmp_path / "e.csv", ["t", "x"], [np.zeros(0), np.zeros(0)])
@@ -263,6 +301,40 @@ class TestCsvWriter:
         finally:
             tracemalloc.stop()
         assert peak <= block_bytes + 2**20
+
+
+# every CSV the commands write: figure data, the surface, each protocol's
+# trajectory (16 columns for phased) and a phased pulse file
+CSV_RUNS = [["figures", str(n)] for n in range(1, 14)] + [
+    ["sweep", "--resolution", "37"],
+    ["evolve", "--protocol", "single-I", "--mu", "0.6", "--nu", "0.8"],
+    ["evolve", "--protocol", "single-II", "--mu", "0.5", "--eta", "0.5",
+     "--nu", "0.7071067811865476"],
+    ["evolve", "--protocol", "single-II-nomw", "--mu", "0.6", "--nu", "0.8",
+     "--initial", "2"],
+    ["evolve", "--protocol", "multi", "--mu", "0.5", "--eta", "0.5",
+     "--nu", "0.7071067811865476"],
+    ["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+     "--initial", "3", "--lambda", "-1.3"],
+    ["design", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+     "--initial", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", CSV_RUNS,
+    ids=[f"{a[0]} {a[2] if a[1] == '--protocol' else a[1]}" for a in CSV_RUNS])
+def test_csv_cells_are_percent_17g(tmp_path, argv):
+    # float() reads %.17g back exactly, so re-formatting what was read must
+    # give the file again, byte for byte
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    files = sorted(tmp_path.glob("*.csv"))
+    assert files
+    for path in files:
+        header, *rows = path.read_text().split("\n")
+        assert rows.pop() == ""
+        cells = [",".join("%.17g" % float(v) for v in row.split(",")) for row in rows]
+        assert path.read_bytes() == "\n".join([header, *cells, ""]).encode(), path.name
 
 
 class TestConfigAndErrors:
