@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -91,59 +90,6 @@ class AngleSchedule:
     def is_phase_free(self) -> bool:
         """True when gamma and kappa are the zero cubic."""
         return not any(self.gamma.coefficients + self.kappa.coefficients)
-
-
-@dataclass(frozen=True)
-class GeneralAngles:
-    """Snapshot angle assignments (alpha_n, beta_n), one pair per mode."""
-
-    alpha: Sequence[float]
-    beta: Sequence[float]
-
-    def __post_init__(self) -> None:
-        if len(self.alpha) != len(self.beta):
-            raise InvalidInputError(
-                f"alpha has {len(self.alpha)} entries, beta has {len(self.beta)}"
-            )
-
-
-def angle_vector(alpha: float, beta: float, family: BasisFamily) -> np.ndarray:
-    """The generating vector for one mode at snapshot angles (alpha, beta)."""
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    if family is BasisFamily.THREE_REAL:
-        return np.array([ca * cb, sb, sa * cb], dtype=complex)
-    if family is BasisFamily.FOUR_LEVEL:
-        return np.array([ca * cb, ca * sb, sa * cb, sa * sb], dtype=complex)
-    raise InvalidInputError(f"no general-angle form for family {family}")
-
-
-def check_orthogonality_condition(
-    angles: GeneralAngles, family: BasisFamily
-) -> np.ndarray:
-    """Matrix of pairwise orthogonality residuals for the angle assignments.
-
-    Off-diagonal entry (n, m) is the closed-form inner-product residual for
-    the family; a valid moving basis needs all of them below 1e-12.
-    """
-    dims = {BasisFamily.THREE_REAL: 3, BasisFamily.FOUR_LEVEL: 4}
-    if family not in dims:
-        raise InvalidInputError(f"no general-angle form for family {family}")
-    n = dims[family]
-    if len(angles.alpha) != n:
-        raise InvalidInputError(
-            f"family {family.value} needs {n} modes, got {len(angles.alpha)}"
-        )
-    a = np.asarray(angles.alpha, dtype=float)
-    b = np.asarray(angles.beta, dtype=float)
-    da = a[:, None] - a[None, :]
-    if family is BasisFamily.THREE_REAL:
-        res = (np.cos(da) * np.cos(b)[:, None] * np.cos(b)[None, :]
-               + np.sin(b)[:, None] * np.sin(b)[None, :])
-    else:
-        res = np.cos(da) * np.cos(b[:, None] - b[None, :])
-    np.fill_diagonal(res, 0.0)
-    return np.abs(res)
 
 
 @dataclass(frozen=True)

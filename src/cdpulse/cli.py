@@ -100,19 +100,21 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
                 fh.write(csv_text(block[start:start + rows]))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
     with _file_access(path, "write"):
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path.write_text(text)
 
 
-def _load_config(path: str) -> dict:
-    """INI-style key=value file; '#' starts a comment."""
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _config_tokens(path: str) -> list[str]:
+    """A key = value file as '--key=value' tokens; '#' starts a comment."""
     with _file_access(path, "read config file"):
         text = Path(path).read_text()
-    values = {}
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,8 +122,8 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        tokens.append(f"--{key.strip()}={value.strip()}")
+    return tokens
 
 
 def _add_common_options(p: argparse.ArgumentParser) -> None:
@@ -129,8 +131,6 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--nu", type=float)
-    p.add_argument("--gamma", type=float, default=0.0, help="phase on |2>")
-    p.add_argument("--kappa", type=float, default=0.0, help="phase on |3>")
     p.add_argument("--initial", help="1|2|3 or comma-separated amplitudes")
     p.add_argument("--T", type=float, default=1.0, dest="T")
     p.add_argument("--steps", type=int, default=4000)
@@ -141,12 +141,13 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int, default=50)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--config", help="key=value config file; flags override")
+    p.add_argument("--config", help="file of 'flag = value' lines, flags named "
+                   "without their dashes; command-line flags override")
     p.add_argument("--preset",
                    choices=["beamsplit12", "beamsplit13", "cavity-bell"])
 
 
-def build_parser(defaults: dict | None = None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(prog="cdpulse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
@@ -160,28 +161,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
         _add_common_options(p)
         if name == "figures":
             p.add_argument("figure", type=int)
-        if defaults:
-            known = {}
-            for action in p._actions:
-                if action.dest in defaults:
-                    known[action.dest] = _config_value(action, defaults[action.dest])
-            p.set_defaults(**known)
     return parser
-
-
-def _config_value(action: argparse.Action, raw: str):
-    """Coerce and check a config-file value as argparse checks the flag."""
-    try:
-        value = action.type(raw) if action.type else raw
-    except ValueError as exc:
-        raise UsageError(
-            f"config value {action.dest}={raw!r} is not a valid {action.type.__name__}"
-        ) from exc
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(
-            f"config value {action.dest}={raw!r} is not one of {list(action.choices)}"
-        )
-    return value
 
 
 def _resolve_target(args) -> TargetState:
@@ -206,7 +186,7 @@ def _resolve_target(args) -> TargetState:
         raise InvalidInputError(
             f"target not normalized: norm residual {residual:.3e}"
         )
-    return TargetState.normalized(mu, eta, nu, args.gamma, args.kappa)
+    return TargetState.normalized(mu, eta, nu)
 
 
 def _parse_initial(raw):
@@ -273,10 +253,14 @@ def _trajectory_columns(dsg: Design, traj: Trajectory):
 
 def _write_table(out: Path, name: str, header: list[str], columns,
                  fmt: str) -> None:
-    """``name.csv``, or ``name.json`` with a header and a list of rows."""
+    """``name.csv``, or ``name.json`` with a header and a list of rows.
+
+    The JSON holds the header on one line and one row per line.
+    """
     if fmt == "json":
-        _write_json(out / f"{name}.json",
-                    {"header": header, "rows": _column_block(columns).tolist()})
+        rows = ",\n    ".join(map(json.dumps, _column_block(columns).tolist()))
+        _write_text(out / f"{name}.json", f'{{\n  "header": {json.dumps(header)},\n'
+                    f'  "rows": [\n    {rows}\n  ]\n}}\n')
     else:
         _write_csv(out / f"{name}.csv", header, columns)
 
@@ -368,10 +352,13 @@ def _figure_runs(args):
     """Write the data files behind one figure.
 
     ``--T`` is the duration of every figure with a single one; figure 2
-    compares three fixed durations and figure 10 has none.
+    compares three fixed durations and figure 10 has none, so both refuse
+    a ``--T`` other than 1.
     """
     out = Path(args.out)
     fig = args.figure
+    if fig in (2, 10) and args.T != 1.0:
+        raise UsageError(f"figure {fig} takes no --T, got {args.T}")
     if fig == 10:
         surface = metrics_mod.ratio_surface(args.resolution)
         _write_table(out, "fig10_ratio_surface", SURFACE_HEADER,
@@ -386,11 +373,6 @@ def _figure_runs(args):
         return EXIT_OK
     if fig not in FIGURES:
         raise UsageError(f"figure must be 1..13, got {fig}")
-    if fig == 2 and args.T != 1.0:
-        raise UsageError(
-            f"figure 2 compares the durations 0.1, 1 and 10; --T {args.T} "
-            "does not apply"
-        )
     for stem, kind, protocol, amplitudes, overrides in FIGURES[fig]:
         request = ProtocolRequest(protocol, TargetState.normalized(*amplitudes),
                                   **{"tf": args.T, **overrides})
@@ -417,13 +399,17 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        defaults = None
-        for i, token in enumerate(argv):
-            if token == "--config" and i + 1 < len(argv):
-                defaults = _load_config(argv[i + 1])
-            elif token.startswith("--config="):
-                defaults = _load_config(token.split("=", 1)[1])
-        args = build_parser(defaults).parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            # the file's options go right after the subcommand, so that the
+            # command line's own flags, parsed later, override them
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config)
+            try:
+                args = parser.parse_args(argv[:at] + tokens + argv[at:])
+            except UsageError as exc:
+                raise UsageError(f"{args.config}: {exc}") from exc
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"cdpulse: usage error: {exc}", file=sys.stderr)

@@ -28,8 +28,8 @@ I - i sin(a) G + (cos(a) - 1) G^2: ``evolve`` writes each state in closed
 form from the initial one, without stepping and without calling the
 evaluator.
 
-Every other spec (single-II, phased, four-level, from-basis and custom) is
-integrated with the classical fixed-step fourth-order Runge-Kutta scheme.
+Every other spec, whose ``source`` is None, is integrated with the
+classical fixed-step fourth-order Runge-Kutta scheme.
 Because the right-hand side -iH(t)psi is linear in psi, each RK4 step is a
 fixed propagator.  ``evolve`` evaluates A on whole blocks of stage times,
 builds the step propagators with batched matrix products, and applies them
@@ -107,15 +107,21 @@ class HamiltonianSpec:
     """A time-dependent Hermitian matrix: dimension, evaluator and source.
 
     ``evaluator(t)`` maps times of shape S to matrices of shape S + (d, d).
-    ``source`` is a label naming the form, or a ``Rotation`` that the
-    evaluator equals; ``evolve`` integrates a spec whose source is a
-    ``Rotation`` in closed form.  Wrappers that rebuild a spec as
-    (dimension, evaluator, source) keep the closed form.
+    ``source`` is None or a ``Rotation`` that the evaluator equals;
+    ``evolve`` integrates a spec whose source is a ``Rotation`` in closed
+    form.  Wrappers that rebuild a spec as (dimension, evaluator, source)
+    keep the closed form.
     """
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    source: "str | Rotation" = "custom"
+    source: Rotation | None = None
+
+    def __post_init__(self) -> None:
+        if not (self.source is None or isinstance(self.source, Rotation)):
+            raise InvalidInputError(
+                f"spec source must be a Rotation or None, got {self.source!r}"
+            )
 
     def __call__(self, t) -> np.ndarray:
         return self.evaluator(t)
@@ -156,7 +162,7 @@ def _real_form(h: np.ndarray) -> np.ndarray:
 
 
 def _linear_hamiltonian(
-    generators: np.ndarray, coefficients: Callable, source: "str | Rotation"
+    generators: np.ndarray, coefficients: Callable, source: Rotation | None = None
 ) -> HamiltonianSpec:
     """H(t) = sum_k c_k(t) * generators[k], all c_k from one callable.
 
@@ -199,7 +205,7 @@ def hamiltonian_from_basis(basis: MovingBasis) -> HamiltonianSpec:
         db = basis.vector_derivatives(t)
         return 1j * (np.swapaxes(db, -1, -2) @ b.conj())
 
-    return HamiltonianSpec(basis.dimension, evaluator, source="from-basis")
+    return HamiltonianSpec(basis.dimension, evaluator)
 
 
 def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
@@ -209,8 +215,7 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     H13 = +i*Omega_a (the Omega_a = -dtheta convention).  With theta or phi
     constant the spec's source is its ``Rotation``.
     """
-    return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses,
-                               _lambda_rotation(pulses) or "three-level-lambda")
+    return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses, _lambda_rotation(pulses))
 
 
 def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -228,7 +233,7 @@ def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
         return np.stack((dtheta * np.cos(kappa), dtheta * np.sin(kappa),
                          schedule.dkappa(t)), axis=-1)
 
-    return _linear_hamiltonian(_PHASED_GENERATORS, rates, "three-level-phased")
+    return _linear_hamiltonian(_PHASED_GENERATORS, rates)
 
 
 def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -244,7 +249,7 @@ def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     def rates(t) -> np.ndarray:
         return np.stack((schedule.dtheta(t), schedule.dphi(t)), axis=-1)
 
-    return _linear_hamiltonian(_FOUR_LEVEL_GENERATORS, rates, "four-level")
+    return _linear_hamiltonian(_FOUR_LEVEL_GENERATORS, rates)
 
 
 def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
@@ -252,19 +257,14 @@ def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
 
     Basis ordering: |e,g>|0>, |g,g>|1>, |g,e>|0>.  Only pulse sets without
     a ground-ground coupling (constant theta: Omega_a identically zero) can
-    be mapped; the matrix is then the Lambda matrix without its Omega_a term,
-    and the spec's source its ``Rotation``.
+    be mapped; the matrix is then the Lambda matrix with Omega_a = +0.0, and
+    the spec is ``lambda_hamiltonian``'s, its source the ``Rotation``.
     """
     if not pulses.schedule.theta.is_constant:
         raise MappingUnsupportedError(
             "cavity mapping requires Omega_a identically zero (a constant theta)"
         )
-
-    def couplings(t) -> np.ndarray:
-        return pulses(t)[..., :2]
-
-    return _linear_hamiltonian(_LAMBDA_GENERATORS[:2], couplings,
-                               _lambda_rotation(pulses))
+    return lambda_hamiltonian(pulses)
 
 
 @dataclass(frozen=True)
@@ -468,7 +468,7 @@ def evolve(
     # (Re, Im) pairs of the complex states, written block by block
     parts = states.view(np.float64).reshape(steps + 1, d, 2)
     x0 = x = np.concatenate([psi.real, psi.imag])
-    rotation = spec.source if isinstance(spec.source, Rotation) else None
+    rotation = spec.source
 
     for start in range(0, steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, steps)

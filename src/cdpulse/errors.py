@@ -13,10 +13,6 @@ class InvalidIntervalError(InvalidInputError):
     """Time interval is empty, reversed, or non-finite."""
 
 
-class DomainError(InvalidInputError):
-    """Evaluation point lies outside the function's domain."""
-
-
 class WrongFamilyError(InvalidInputError):
     """Schedule carries phase functions incompatible with the requested basis family."""
 

@@ -76,13 +76,11 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class TargetState:
-    """Target amplitudes (mu, eta*e^{i gamma}, nu*e^{i kappa}), unit norm."""
+    """Real target amplitudes (mu, eta, nu), unit norm."""
 
     mu: float
     eta: float
     nu: float
-    gamma_phase: float = 0.0
-    kappa_phase: float = 0.0
 
     def __post_init__(self) -> None:
         # written so that NaN and Inf fail: a NaN residual is not <= tol
@@ -91,26 +89,14 @@ class TargetState:
             raise InvalidInputError(
                 f"target norm residual {residual:.3e} exceeds {NORM_TOL:.1e}"
             )
-        if not (math.isfinite(self.gamma_phase) and math.isfinite(self.kappa_phase)):
-            raise InvalidInputError(
-                f"target phases must be finite, got {self.gamma_phase}, "
-                f"{self.kappa_phase}"
-            )
 
     @classmethod
-    def normalized(
-        cls,
-        mu: float,
-        eta: float,
-        nu: float,
-        gamma_phase: float = 0.0,
-        kappa_phase: float = 0.0,
-    ) -> "TargetState":
+    def normalized(cls, mu: float, eta: float, nu: float) -> "TargetState":
         """Rescale (mu, eta, nu) onto the unit sphere before construction."""
         norm = math.sqrt(mu**2 + eta**2 + nu**2)
         if norm == 0.0:
             raise InvalidInputError("target amplitudes are all zero")
-        return cls(mu / norm, eta / norm, nu / norm, gamma_phase, kappa_phase)
+        return cls(mu / norm, eta / norm, nu / norm)
 
     def norm_residual(self) -> float:
         return abs(self.mu**2 + self.eta**2 + self.nu**2 - 1.0)
@@ -204,10 +190,6 @@ class MultiModeSolution:
     phi0: float
     phi_f: float
     mode_coefficients: tuple
-
-    @property
-    def zeta(self) -> float:
-        return self.phi_f
 
 
 @dataclass(frozen=True)
@@ -433,12 +415,12 @@ def design_multimode(request: ProtocolRequest) -> Design:
         protocol=request.protocol,
         schedule=AngleSchedule(request.t0, request.tf,
                                theta=_angle(request, solution.theta0, solution.theta_f),
-                               phi=_angle(request, solution.phi0, solution.zeta)),
+                               phi=_angle(request, solution.phi0, solution.phi_f)),
         initial_state=initial,
         target_vector=np.array([tgt.mu, tgt.eta, tgt.nu], dtype=complex),
         boundary={"theta_0": solution.theta0, "theta_f": solution.theta_f,
                   "phi_0": solution.phi0, "phi_f": solution.phi_f,
-                  "zeta": solution.zeta},
+                  "zeta": solution.phi_f},
         mode_coefficients=solution.mode_coefficients,
     )
 
@@ -476,8 +458,8 @@ def design_phased(request: ProtocolRequest) -> Design:
         )
     if tgt.mu < 0.0 or tgt.nu < 0.0:
         raise UnsupportedBranchError(
-            "phased design expects nonnegative magnitudes; phases belong in "
-            "kappa_phase"
+            "phased design expects nonnegative magnitudes; the |3> phase is "
+            "set by the winding rate (--lambda, lambda_rate)"
         )
     initial = _check_initial(request, 3)
     T = request.duration

@@ -1,9 +1,7 @@
-"""Cubic boundary-value interpolation and the shared pulse-shape factor.
+"""Cubic boundary-value interpolation.
 
 Every smooth angle schedule in this package is built from cubics that match
-prescribed endpoint values and endpoint derivatives.  The derivative of the
-zero-slope cubic is always a multiple of the universal "bump"
-``shape_factor``, which vanishes at both ends of the interval.
+prescribed endpoint values and endpoint derivatives.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidIntervalError
+from .errors import InvalidIntervalError
 
 
 @dataclass(frozen=True)
@@ -98,40 +96,3 @@ def fit_cubic(boundary: CubicBoundary) -> CubicPolynomial:
         )
     return CubicPolynomial(a0, a1, a2, a3, boundary.t0, boundary.tf)
 
-
-def shape_factor(t, t0: float, tf: float):
-    """The universal bump s/dt**2 - s**2/dt**3 with s = t - t0, dt = tf - t0.
-
-    Vanishes at both endpoints; maximum 1/(4*(tf - t0)) at the midpoint.
-    """
-    if tf <= t0:
-        raise InvalidIntervalError(f"need tf > t0, got [{t0}, {tf}]")
-    s = np.asarray(t, dtype=float) - t0
-    dt = tf - t0
-    if np.any(s < -1e-12 * dt) or np.any(s > dt * (1.0 + 1e-12)):
-        raise DomainError(f"t outside [{t0}, {tf}]")
-    return s / dt**2 - s**2 / dt**3
-
-
-def sine_fit_deviation(pulse, t0: float, tf: float) -> float:
-    """How far a normalized pulse is from the bump/sinusoid pair.
-
-    ``pulse`` is sampled on a uniform grid over [t0, tf].  The samples are
-    scaled by their peak magnitude and compared against both canonical
-    shapes, the bump 4*x*(1 - x) and sin(pi*x) with x = (t - t0)/(tf - t0);
-    the larger sup-norm deviation is returned, so the comparison is
-    symmetric in the two shapes.  For an exact bump (or an exact sinusoid)
-    the result is about 0.056, the bump-vs-sine gap itself.  A zero pulse
-    reports 0 by convention.
-    """
-    if tf <= t0:
-        raise InvalidIntervalError(f"need tf > t0, got [{t0}, {tf}]")
-    p = np.abs(np.asarray(pulse, dtype=float))
-    peak = p.max(initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    x = np.linspace(0.0, 1.0, p.size)
-    p = p / peak
-    dev_sine = np.max(np.abs(p - np.sin(np.pi * x)))
-    dev_bump = np.max(np.abs(p - 4.0 * x * (1.0 - x)))
-    return float(max(dev_sine, dev_bump))

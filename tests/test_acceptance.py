@@ -183,7 +183,7 @@ def test_07_ratio_surface_and_metric_consistency():
         # integrated metrics against the closed-form phase excursions
         tgt = TargetState(SQ3, SQ3, SQ3)
         multi = design_multimode(ProtocolRequest(Protocol.MULTI_MODE, tgt))
-        zeta = solve_multimode_boundary(tgt).zeta
+        zeta = solve_multimode_boundary(tgt).phi_f
         assert drive_metrics(multi.pulses).omega_bar == pytest.approx(
             zeta, abs=1e-8
         )

@@ -7,12 +7,9 @@ from cdpulse import (
     AngleSchedule,
     BasisFamily,
     CubicBoundary,
-    GeneralAngles,
-    angle_vector,
     build_four_level_basis,
     build_phased_basis,
     build_three_real_basis,
-    check_orthogonality_condition,
     fit_cubic,
 )
 from cdpulse.errors import InvalidInputError, WrongFamilyError
@@ -50,53 +47,6 @@ class TestAngleSchedule:
         angles = {"theta": fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0)), name: foreign}
         with pytest.raises(InvalidInputError):
             AngleSchedule(t0=0.0, tf=1.0, **angles)
-
-
-class TestOrthogonalityCondition:
-    @pytest.mark.parametrize(
-        "family", [BasisFamily.THREE_REAL, BasisFamily.FOUR_LEVEL]
-    )
-    def test_matches_bruteforce_inner_products(self, family):
-        # oracle: residual must equal the explicit complex dot product of
-        # the generating vectors, for 100 random angle draws
-        rng = np.random.default_rng(23)
-        n = 3 if family is BasisFamily.THREE_REAL else 4
-        for _ in range(100):
-            alpha = rng.uniform(-math.pi, math.pi, size=n)
-            beta = rng.uniform(-math.pi, math.pi, size=n)
-            res = check_orthogonality_condition(GeneralAngles(alpha, beta), family)
-            vecs = [angle_vector(a, b, family) for a, b in zip(alpha, beta)]
-            for i in range(n):
-                for j in range(n):
-                    dot = abs(np.vdot(vecs[i], vecs[j])) if i != j else 0.0
-                    assert res[i, j] == pytest.approx(dot, abs=1e-12)
-
-    def test_valid_assignment_passes(self):
-        # the three-level family at theta=0.4, phi=0.7 written in
-        # (alpha, beta) form: rows orthogonal, residuals ~ 0
-        th, ph = 0.4, 0.7
-        angles = GeneralAngles(
-            alpha=[th, th - math.pi / 2.0, th - math.pi / 2.0],
-            beta=[0.0, ph, ph - math.pi / 2.0],
-        )
-        res = check_orthogonality_condition(angles, BasisFamily.THREE_REAL)
-        assert np.max(res) <= 1e-12
-        # cross-check: the generating vectors really are pairwise orthogonal
-        vecs = [
-            angle_vector(a, b, BasisFamily.THREE_REAL)
-            for a, b in zip(angles.alpha, angles.beta)
-        ]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert abs(np.vdot(vecs[i], vecs[j])) <= 1e-12
-
-    def test_wrong_mode_count(self):
-        with pytest.raises(InvalidInputError):
-            check_orthogonality_condition(
-                GeneralAngles([0.0, 0.1], [0.0, 0.1]), BasisFamily.THREE_REAL
-            )
-        with pytest.raises(InvalidInputError):
-            GeneralAngles([0.0], [0.0, 0.1])
 
 
 class TestMovingBases:

@@ -190,6 +190,22 @@ class TestSweepAndMetrics:
             assert payload["header"] == header
             assert np.array_equal(np.array(payload["rows"]), data)
 
+    @pytest.mark.parametrize("argv,name", [
+        (["sweep", "--resolution", "12"], "ratio_surface"),
+        (["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+          "--initial", "3", "--steps", "200"], "trajectory"),
+    ])
+    def test_json_table_has_one_line_per_row(self, tmp_path, argv, name):
+        assert main(argv + ["--format", "json", "--out", str(tmp_path)]) == EXIT_OK
+        text = (tmp_path / f"{name}.json").read_text()
+        payload = json.loads(text)
+        lines = text.splitlines()
+        assert len(lines) == len(payload["rows"]) + 5
+        assert json.loads(lines[1].strip().removeprefix('"header":').rstrip(",")) == \
+            payload["header"]
+        for line, row in zip(lines[3:], payload["rows"]):
+            assert json.loads(line.strip().rstrip(",")) == row
+
 
 class TestFigures:
     @pytest.mark.parametrize(
@@ -227,6 +243,12 @@ class TestFigures:
         argv = ["figures", "2", "--T", "5", "--steps", "100", "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
         assert "figure 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_figure10_rejects_duration(self, tmp_path, capsys):
+        argv = ["figures", "10", "--T", "5", "--resolution", "12", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "figure 10" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 
@@ -379,7 +401,56 @@ class TestConfigAndErrors:
         cfg.write_text(f"protocol = single-I\nnu = 0.70710678\n{line}\n")
         code = main(["design", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_USAGE
-        assert key in capsys.readouterr().err
+        name, value = key.split("=")
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert f"--{name}" in err
+        assert value in err
+
+    def test_negative_config_value(self, tmp_path):
+        # '--nu=-0.6' keeps a leading minus a value, not a flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol = single-I\nnu = -0.6\n")
+        argv = ["design", "--steps", "100", "--out"]
+        assert main(argv + [str(tmp_path / "file"), "--config", str(cfg)]) == EXIT_OK
+        assert main(argv + [str(tmp_path / "flag"), "--protocol", "single-I",
+                            "--nu", "-0.6"]) == EXIT_OK
+        for name in ("design.json", "pulses.csv"):
+            flag = (tmp_path / "flag" / name).read_bytes()
+            assert (tmp_path / "file" / name).read_bytes() == flag
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol = single-I\nnu = 0.70710678\nstepz = 7\n")
+        out = tmp_path / "out"
+        assert main(["design", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert "--stepz" in err
+        assert not out.exists()
+
+    def test_config_keys_are_flag_names(self, tmp_path):
+        # the key is the long flag without its dashes: lambda, not lambda_rate
+        argv = ["design", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+                "--initial", "3", "--steps", "200"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda = 1.5\n")
+        assert main(argv + ["--lambda", "1.5", "--out", str(tmp_path / "flag")]) == EXIT_OK
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "file")]) == EXIT_OK
+        assert json.loads((tmp_path / "file" / "design.json").read_text())["lambda"] == 1.5
+        for name in ("design.json", "pulses.csv"):
+            flag = (tmp_path / "flag" / name).read_bytes()
+            assert (tmp_path / "file" / name).read_bytes() == flag
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_abbreviated_config_flag(self, tmp_path, joined):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol = single-I\nnu = 0.70710678\nsteps = 500\n")
+        out = tmp_path / "out"
+        conf = [f"--conf={cfg}"] if joined else ["--conf", str(cfg)]
+        assert main(["design", *conf, "--out", str(out)]) == EXIT_OK
+        _, data = read_csv(out / "pulses.csv")
+        assert data.shape == (501, 4)
 
     def test_missing_protocol(self):
         assert main(["design"]) == EXIT_USAGE
@@ -400,7 +471,7 @@ class TestConfigAndErrors:
         )
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("flag", ["--mu", "--nu", "--eta", "--kappa"])
+    @pytest.mark.parametrize("flag", ["--mu", "--nu", "--eta"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_target(self, tmp_path, capsys, flag, value):
         argv = ["design", "--protocol", "single-I", "--out", str(tmp_path)]
@@ -409,6 +480,17 @@ class TestConfigAndErrors:
         code = main(argv + [flag, value])
         assert code == EXIT_VALIDATION
         assert "target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--kappa"])
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8", "--initial", "3"],
+        ["design", "--protocol", "multi", "--mu", "0.5", "--eta", "0.5"],
+    ])
+    def test_target_phase_flags_are_gone(self, tmp_path, capsys, argv, flag):
+        # no designer reads a target phase, so the flags no longer exist
+        assert main(argv + [flag, "1.0", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

@@ -291,6 +291,16 @@ class TestCavityQed:
             )
             assert h[0, 2] == 0.0
 
+    def test_is_the_lambda_matrix(self):
+        # theta is constant, so Omega_a is exact +0.0 and the mapping adds
+        # nothing to the Lambda spec: same matrices, same rotation
+        d = design_multimode(preset_targets("cavity-bell"))
+        cavity, lam = cavity_qed_hamiltonian(d.pulses), lambda_hamiltonian(d.pulses)
+        times = np.linspace(0.0, 1.0, 401)
+        assert cavity.evaluator(times).tobytes() == lam.evaluator(times).tobytes()
+        assert np.array_equal(cavity.source.generator, lam.source.generator)
+        assert cavity.source.angle == lam.source.angle
+
     def test_zero_pulses(self):
         from cdpulse.protocols import PulseSet
 
@@ -538,13 +548,20 @@ class TestSingleAxis:
         ulp = np.spacing(np.max(np.abs(h), axis=(-2, -1)))
         assert np.all(np.max(np.abs(h - expected), axis=(-2, -1)) <= 4 * ulp)
 
-    def test_moving_angles_keep_the_label(self):
-        assert symmetric_design().hamiltonian.source == "three-level-lambda"
+    def test_moving_angles_carry_no_source(self):
+        assert symmetric_design().hamiltonian.source is None
         theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
         pulses = PulseSet(AngleSchedule(0.0, 1.0, theta=theta, phi=theta))
-        assert lambda_hamiltonian(pulses).source == "three-level-lambda"
+        assert lambda_hamiltonian(pulses).source is None
         for name in ("phased", "four-level", "from-basis", "from-basis-four-level"):
-            assert isinstance(evaluator_specs()[name].source, str)
+            assert evaluator_specs()[name].source is None
+
+    @pytest.mark.parametrize("source", ["three-level-lambda", "custom", 0, 1.5])
+    def test_source_other_than_rotation_rejected(self, source):
+        # evolve trusts the field, so a label or any other value is refused
+        evaluator = symmetric_design().hamiltonian.evaluator
+        with pytest.raises(InvalidInputError, match="source"):
+            HamiltonianSpec(3, evaluator, source)
 
     @pytest.mark.parametrize("name", ["single-I-arccos-plus", "multi"])
     def test_single_axis_drift_is_rounding(self, name):

@@ -46,7 +46,7 @@ class TestDriveMetrics:
         # so the time-averaged frequency is exactly zeta / T
         tgt = TargetState(SQ3, SQ3, SQ3)
         d = design_multimode(ProtocolRequest(Protocol.MULTI_MODE, tgt))
-        zeta = solve_multimode_boundary(tgt).zeta
+        zeta = solve_multimode_boundary(tgt).phi_f
         m = drive_metrics(d.pulses)
         assert m.omega_bar == pytest.approx(zeta / 1.0, abs=1e-8)
         assert m.quad_error <= 1e-8

@@ -66,8 +66,6 @@ class TestTargetState:
             (math.nan, 0.0, 0.0),
             (0.0, 0.0, math.nan),
             (math.inf, 0.0, 0.0),
-            (1.0, 0.0, 0.0, math.nan, 0.0),
-            (1.0, 0.0, 0.0, 0.0, math.inf),
         ],
     )
     def test_non_finite_rejected(self, values):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cdpulse import CubicBoundary, fit_cubic, shape_factor, sine_fit_deviation
-from cdpulse.errors import DomainError, InvalidIntervalError
+from cdpulse import CubicBoundary, fit_cubic
+from cdpulse.errors import InvalidIntervalError
 
 
 def solve_cubic_oracle(b):
@@ -96,54 +96,3 @@ class TestFitCubic:
         poly = fit_cubic(CubicBoundary(0.0, dt, 0.0, 1.0))
         assert all(math.isfinite(a) for a in poly.coefficients)
         assert poly(dt) == pytest.approx(1.0, rel=1e-12)
-
-
-class TestShapeFactor:
-    def test_endpoint_zeros(self):
-        assert shape_factor(0.0, 0.0, 1.0) == 0.0
-        assert abs(shape_factor(1.0, 0.0, 1.0)) <= 1e-16
-
-    def test_midpoint_maximum(self):
-        # oracle: the quadratic s/T^2 - s^2/T^3 peaks at T/2 with value 1/(4T)
-        assert shape_factor(0.5, 0.0, 1.0) == pytest.approx(0.25, abs=1e-15)
-        assert shape_factor(2.5, 1.0, 4.0) == pytest.approx(1.0 / 12.0, abs=1e-15)
-
-    def test_integral_is_sixth(self):
-        # oracle: exact integral of t/T^2 - t^2/T^3 over [0, T] is T * 1/6 / T = 1/6
-        t = np.linspace(0.0, 1.0, 20001)
-        val = np.trapezoid(shape_factor(t, 0.0, 1.0), t)
-        assert val == pytest.approx(1.0 / 6.0, abs=1e-9)
-
-    def test_nonnegative_and_symmetric(self):
-        t = np.linspace(0.3, 2.3, 501)
-        f = shape_factor(t, 0.3, 2.3)
-        assert np.all(f >= 0.0)
-        assert np.max(np.abs(f - f[::-1])) <= 1e-14
-
-    def test_outside_domain(self):
-        with pytest.raises(DomainError):
-            shape_factor(-0.1, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            shape_factor(1.2, 0.0, 1.0)
-
-
-class TestSineFitDeviation:
-    def oracle_gap(self):
-        x = np.linspace(0.0, 1.0, 200001)
-        return np.max(np.abs(4.0 * x * (1.0 - x) - np.sin(np.pi * x)))
-
-    def test_exact_bump(self):
-        t = np.linspace(0.0, 1.0, 4001)
-        bump = 6.0 * (t - t**2)  # any scaled bump
-        assert sine_fit_deviation(bump, 0.0, 1.0) == pytest.approx(
-            self.oracle_gap(), abs=1e-6
-        )
-
-    def test_pure_sinusoid(self):
-        t = np.linspace(0.0, 1.0, 4001)
-        assert sine_fit_deviation(np.sin(np.pi * t), 0.0, 1.0) == pytest.approx(
-            self.oracle_gap(), abs=1e-6
-        )
-
-    def test_zero_pulse(self):
-        assert sine_fit_deviation(np.zeros(100), 0.0, 1.0) == 0.0
