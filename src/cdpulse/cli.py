@@ -1,11 +1,13 @@
 """Command-line front end: design pulses, run simulations, emit data files.
 
-Subcommands: design, evolve, sweep, figures, metrics.  Data files are CSV,
-or JSON with --format json; run summaries are JSON.  Every CSV cell is the
-'%.17g' text of its value, so identical configs give byte-identical files.
-numpy writes that text a few thousand cells at a time (_csvtext.csv_text);
-Python's own '%.17g' formats NaN, infinities, subnormal and out-of-range
-values, and values within 1e-6 of a 17th-digit rounding tie.  Exit codes:
+Subcommands: design, evolve, sweep, figures, metrics, each taking only the
+options it reads (another, or a config key naming one, is a usage error).
+Data files are CSV, or JSON with --format json; run summaries are JSON.
+Every CSV cell is the '%.17g' text of its value, so identical configs give
+byte-identical files.  numpy writes that text a few thousand cells at a
+time (_csvtext.csv_text); Python's own '%.17g' formats NaN, infinities,
+subnormal and out-of-range values, and values within 1e-6 of a
+17th-digit rounding tie.  Exit codes:
 0 success, 2 validation error, 3 integration-accuracy error, 4 usage error
 (a bad command line, an unreadable config file or an unwritable output
 file).
@@ -126,39 +128,53 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=[x.value for x in Protocol])
-    p.add_argument("--mu", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--initial", help="1|2|3 or comma-separated amplitudes")
-    p.add_argument("--T", type=float, default=1.0, dest="T")
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--branch", choices=[b.value for b in Branch],
-                   default=Branch.LEAST_ENERGY.value)
-    p.add_argument("--lambda", type=float, dest="lambda_rate",
-                   help="phase winding rate for the phased protocol")
-    p.add_argument("--resolution", type=int, default=50)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--config", help="file of 'flag = value' lines, flags named "
-                   "without their dashes; command-line flags override")
-    p.add_argument("--preset",
-                   choices=["beamsplit12", "beamsplit13", "cavity-bell"])
+# every option as (flag, add_argument keywords), in help order
+_OPTIONS = {
+    "--protocol": {"choices": [x.value for x in Protocol]},
+    "--mu": {"type": float},
+    "--eta": {"type": float},
+    "--nu": {"type": float},
+    "--initial": {"help": "1|2|3 or comma-separated amplitudes"},
+    "--T": {"type": float, "default": 1.0, "dest": "T"},
+    "--steps": {"type": int, "default": 4000},
+    "--branch": {"choices": [b.value for b in Branch],
+                 "default": Branch.LEAST_ENERGY.value},
+    "--lambda": {"type": float, "dest": "lambda_rate",
+                 "help": "phase winding rate for the phased protocol"},
+    "--resolution": {"type": int, "default": 50},
+    "--out": {"default": ".", "help": "output directory"},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+    "--config": {"help": "file of 'flag = value' lines, flags named without "
+                 "their dashes; command-line flags override"},
+    "--preset": {"choices": ["beamsplit12", "beamsplit13", "cavity-bell"]},
+}
+_REQUEST_OPTIONS = {"--protocol", "--mu", "--eta", "--nu", "--initial", "--T",
+                    "--branch", "--lambda", "--preset"}
+
+# subcommand -> (help, the options its command reads); argparse rejects the
+# rest, on the command line and in a config file, as usage errors
+_SUBCOMMANDS = {
+    "design": ("synthesize a pulse set and write pulses.csv/design.json",
+               _REQUEST_OPTIONS | {"--steps", "--out", "--format", "--config"}),
+    "evolve": ("design, integrate, and write trajectory.csv/summary.json",
+               _REQUEST_OPTIONS | {"--steps", "--out", "--format", "--config"}),
+    "sweep": ("write the single/multi-mode ratio surface",
+              {"--resolution", "--out", "--format", "--config"}),
+    "metrics": ("report time-averaged frequency and energy",
+                _REQUEST_OPTIONS | {"--out", "--config"}),
+    "figures": ("emit the canonical data set for one figure (1..13)",
+                {"--T", "--steps", "--resolution", "--out", "--format", "--config"}),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cdpulse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("design", "synthesize a pulse set and write pulses.csv/design.json"),
-        ("evolve", "design, integrate, and write trajectory.csv/summary.json"),
-        ("sweep", "write the single/multi-mode ratio surface"),
-        ("metrics", "report time-averaged frequency and energy"),
-        ("figures", "emit the canonical data set for one figure (1..13)"),
-    ]:
+    for name, (help_text, reads) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common_options(p)
+        for flag, keywords in _OPTIONS.items():
+            if flag in reads:
+                p.add_argument(flag, **keywords)
         if name == "figures":
             p.add_argument("figure", type=int)
     return parser

@@ -28,6 +28,15 @@ I - i sin(a) G + (cos(a) - 1) G^2: ``evolve`` writes each state in closed
 form from the initial one, without stepping and without calling the
 evaluator.
 
+Where both Lambda angles move (single-II), H(t) = dphi G(theta) - dtheta G_a
+with G(theta) = sin(theta) G_p + cos(theta) G_s.  The frame
+F(t) = exp(-i (theta(t) - theta_ref) K), K = -G_a, turns G(theta_ref) into
+G(theta), so in that frame the drive is dphi G(theta_ref), one fixed axis,
+and the propagator is F(t) exp(-i (phi(t) - phi(t0)) G(theta_ref)) F(t0)^-1.
+The four-level drive dtheta G_theta + dphi G_phi has the same form with
+commuting generators.  Both carry a ``Rotation`` with a ``frame`` and are
+propagated in closed form too.
+
 Every other spec, whose ``source`` is None, is integrated with the
 classical fixed-step fourth-order Runge-Kutta scheme.
 Because the right-hand side -iH(t)psi is linear in psi, each RK4 step is a
@@ -90,16 +99,30 @@ _FOUR_LEVEL_GENERATORS = np.array(
 
 @dataclass(frozen=True, eq=False)
 class Rotation:
-    """H(t) = angle'(t) * generator: a fixed axis turned through a cubic.
+    """H(t) = angle'(t) * generator, seen from an optional turning frame.
 
     ``generator`` is a Hermitian (d, d) matrix G with G^3 = G (eigenvalues
-    in {0, +-1}) and ``angle`` the schedule's ``CubicPolynomial``, so the
-    propagator from t0 to t is exp(-i a G), a = angle(t) - angle(t0).
-    Compared by identity (``eq=False``): an array field has no boolean ==.
+    in {0, +-1}) and ``angle`` the schedule's ``CubicPolynomial`` g, so
+    without a frame the propagator from t0 to t is exp(-i a G),
+    a = g(t) - g(t0).
+
+    ``frame`` is None or a frameless ``Rotation`` (K, f), which turns with
+    F(t) = exp(-i (f(t) - f.a0) K) from the start of f's schedule.  Then
+    H(t) = g'(t) F(t) G F(t)^dagger + f'(t) K, and the propagator is
+    F(t) exp(-i a G) F(t0)^-1.  Compared by identity (``eq=False``): an
+    array field has no boolean ==.
     """
 
     generator: np.ndarray
     angle: "CubicPolynomial"
+    frame: "Rotation | None" = None
+
+    def __post_init__(self) -> None:
+        frame = self.frame
+        if not (frame is None or isinstance(frame, Rotation) and frame.frame is None):
+            raise InvalidInputError(
+                f"a Rotation's frame must be a frameless Rotation or None, got {frame!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -107,10 +130,10 @@ class HamiltonianSpec:
     """A time-dependent Hermitian matrix: dimension, evaluator and source.
 
     ``evaluator(t)`` maps times of shape S to matrices of shape S + (d, d).
-    ``source`` is None or a ``Rotation`` that the evaluator equals;
-    ``evolve`` integrates a spec whose source is a ``Rotation`` in closed
-    form.  Wrappers that rebuild a spec as (dimension, evaluator, source)
-    keep the closed form.
+    ``source`` is None or a ``Rotation`` that the evaluator equals, its
+    frame included; ``evolve`` integrates a spec whose source is a
+    ``Rotation`` in closed form.  Wrappers that rebuild a spec as
+    (dimension, evaluator, source) keep the closed form.
     """
 
     dimension: int
@@ -182,19 +205,25 @@ def _linear_hamiltonian(
 
 
 def _lambda_rotation(pulses: "PulseSet") -> Rotation | None:
-    """The ``Rotation`` of a Lambda drive with theta or phi frozen, else None.
+    """The ``Rotation`` of a Lambda drive, or None for a phased one on two angles.
 
-    Constant theta: H = dphi (sin(theta) G_p + cos(theta) G_s), the sine and
-    cosine taken with libm as ``PulseSet`` takes them.  Constant phi:
-    H = -+dtheta G_a, the sign of ``PulseSet``'s Omega_a.
+    H = dphi G(theta) -+ dtheta G_a with G(theta) = sin(theta) G_p +
+    cos(theta) G_s, the sign of ``PulseSet``'s Omega_a.  Constant theta:
+    the axis G(theta), the sine and cosine taken with libm as ``PulseSet``
+    takes them.  Constant phi: the axis -+G_a.  Both moving: the axis
+    G(theta_ref), theta_ref = theta.a0, in the frame turning with theta
+    about -G_a; a phased Omega_a = +dtheta does not cancel there.
     """
     s = pulses.schedule
     g_p, g_s, g_a = _LAMBDA_GENERATORS
+    axis = math.sin(s.theta.a0) * g_p + math.cos(s.theta.a0) * g_s
     if s.theta.is_constant:
-        return Rotation(math.sin(s.theta.a0) * g_p + math.cos(s.theta.a0) * g_s, s.phi)
+        return Rotation(axis, s.phi)
     if s.phi.is_constant:
         return Rotation(g_a if pulses.phased else -g_a, s.theta)
-    return None
+    if pulses.phased:
+        return None
+    return Rotation(axis, s.phi, frame=Rotation(-g_a, s.theta))
 
 
 def hamiltonian_from_basis(basis: MovingBasis) -> HamiltonianSpec:
@@ -212,8 +241,9 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     """Three-level Lambda coupling matrix with purely imaginary couplings.
 
     Pattern: zero diagonal, H12 = -i*Omega_p, H23 = -i*Omega_s,
-    H13 = +i*Omega_a (the Omega_a = -dtheta convention).  With theta or phi
-    constant the spec's source is its ``Rotation``.
+    H13 = +i*Omega_a (the Omega_a = -dtheta convention).  The spec's source
+    is its ``Rotation`` (framed when both angles move), except for phased
+    pulses on two moving angles.
     """
     return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses, _lambda_rotation(pulses))
 
@@ -241,7 +271,9 @@ def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
 
     With the unit-normalized four-level family this equals the generic
     construction entrywise: entries +-i*dphi and +-i*dtheta in a
-    checkerboard pattern with zero diagonal.
+    checkerboard pattern with zero diagonal.  H = dtheta G_theta +
+    dphi G_phi with commuting generators, so the source is the ``Rotation``
+    of G_phi in the frame of G_theta.
     """
     if not schedule.is_phase_free():
         raise InvalidInputError("four-level Hamiltonian requires gamma = kappa = 0")
@@ -249,7 +281,9 @@ def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     def rates(t) -> np.ndarray:
         return np.stack((schedule.dtheta(t), schedule.dphi(t)), axis=-1)
 
-    return _linear_hamiltonian(_FOUR_LEVEL_GENERATORS, rates)
+    g_theta, g_phi = _FOUR_LEVEL_GENERATORS
+    return _linear_hamiltonian(_FOUR_LEVEL_GENERATORS, rates, Rotation(
+        g_phi, schedule.phi, frame=Rotation(g_theta, schedule.theta)))
 
 
 def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
@@ -395,19 +429,40 @@ def _propagate_block(spec: HamiltonianSpec, t: np.ndarray, h: float,
     return _scan(propagators.reshape(chunks, length, m, m), n, x0)
 
 
-def _rotate(rotation: Rotation, t: np.ndarray, t0: float, x0: np.ndarray) -> np.ndarray:
-    """The exact real states exp(-i a G) psi0 at the times t, from x0 at t0.
+def _turn(generator: np.ndarray, a, x0: np.ndarray) -> np.ndarray:
+    """exp(-i a G) x0 for one real state x0 and angles a of any shape S.
 
-    With a = angle(t) - angle(t0) and M the real form of -iG, each state is
-    x0 + sin(a) M x0 + 2 sin^2(a/2) M^2 x0, one row per time.  The Lambda
-    generators are imaginary, so -iG is real, M is block diagonal and a
-    real x0 stays exactly real.
+    With M the real form of -iG, each state is x0 + sin(a) M x0 +
+    2 sin^2(a/2) M^2 x0, shape S + (2d,).  The Lambda generators are
+    imaginary, so -iG is real, M is block diagonal and a real x0 stays
+    exactly real.
     """
-    a = rotation.angle(t) - rotation.angle(t0)
     half = np.sin(0.5 * a)
-    m = _real_form(rotation.generator)
+    m = _real_form(generator)
     mx = m @ x0
     return x0 + np.stack((np.sin(a), 2.0 * half * half), axis=-1) @ np.stack((mx, m @ mx))
+
+
+def _rotate(rotation: Rotation, t: np.ndarray, t0: float, x0: np.ndarray) -> np.ndarray:
+    """The exact real states U(t, t0) psi0 at the times t, from x0 at t0.
+
+    Without a frame U = exp(-i a G), a = angle(t) - angle(t0): one
+    ``_turn``, one row per time.  With a frame (K, f), x0 is first turned
+    back by F(t0) (by nothing when t0 starts f's schedule), then by a about
+    G, and each row r by its own F(t) = exp(-i b K), b = f(t) - f.a0, as
+    r + sin(b) N r + 2 sin^2(b/2) N^2 r for N the real form of -iK.
+    """
+    frame = rotation.frame
+    if frame is not None:
+        x0 = _turn(frame.generator, frame.angle.a0 - frame.angle(t0), x0)
+    x = _turn(rotation.generator, rotation.angle(t) - rotation.angle(t0), x0)
+    if frame is None:
+        return x
+    b = frame.angle(t) - frame.angle.a0
+    half = np.sin(0.5 * b)
+    n = _real_form(frame.generator).T
+    nx = x @ n
+    return x + np.sin(b)[:, None] * nx + (2.0 * half * half)[:, None] * (nx @ n)
 
 
 def evolve(
@@ -423,10 +478,11 @@ def evolve(
     A = -iH (module docstring), block by block of up to BLOCK_STEPS steps.
 
     A spec whose source is a ``Rotation`` is propagated exactly: each
-    state is exp(-i a G) psi0 with a = angle(t_k) - angle(t0), written in
-    closed form from psi0 (``_rotate``).  The evaluator is never called and
-    nothing accumulates from step to step; the step count sets only the
-    output grid.
+    state is exp(-i a G) psi0 with a = angle(t_k) - angle(t0), inside
+    F(t_k) ... F(t0)^-1 when the rotation has a frame F, written in closed
+    form from psi0 (``_rotate``).  The evolve ``t0`` need not start the
+    schedule.  The evaluator is never called and nothing accumulates from
+    step to step; the step count sets only the output grid.
 
     Every other spec is integrated with fixed-step RK4.  For each block,
     A is evaluated on the stage grids t_k, t_k + h/2 and t_k + h, and the

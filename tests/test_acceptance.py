@@ -12,6 +12,7 @@ import pytest
 from cdpulse import (
     Branch,
     CubicBoundary,
+    HamiltonianSpec,
     Protocol,
     ProtocolRequest,
     TargetState,
@@ -271,13 +272,19 @@ def test_11_property_suites():
         for spec in specs:
             for t in rng.uniform(0.0, 1.0, size=100):
                 assert spec.hermiticity_defect(t) <= 1e-12
-        # norm conservation at default steps
-        traj = run(dsg)
+        # RK4's norm conservation at default steps and fourth-order
+        # convergence under step halving, on the design's Hamiltonian
+        # without the source that would propagate it in closed form
+        stepped = HamiltonianSpec(3, dsg.hamiltonian.evaluator)
+
+        def rk4(steps):
+            return evolve(stepped, dsg.initial_state, 0.0, 1.0, steps=steps)
+
+        traj = rk4(4000)
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-8
-        # fourth-order convergence under step halving
-        ref = run(dsg, steps=3200).final_state
-        e100 = np.linalg.norm(run(dsg, steps=100).final_state - ref)
-        e200 = np.linalg.norm(run(dsg, steps=200).final_state - ref)
+        ref = rk4(3200).final_state
+        e100 = np.linalg.norm(rk4(100).final_state - ref)
+        e200 = np.linalg.norm(rk4(200).final_state - ref)
         assert 12.0 <= e100 / e200 <= 20.0
         # cubic boundary residuals
         for _ in range(1000):

@@ -452,6 +452,52 @@ class TestConfigAndErrors:
         _, data = read_csv(out / "pulses.csv")
         assert data.shape == (501, 4)
 
+    def test_each_command_takes_only_what_it_reads(self):
+        request = {"--protocol", "--mu", "--eta", "--nu", "--initial", "--T",
+                   "--branch", "--lambda", "--preset"}
+        reads = {
+            "design": request | {"--steps", "--out", "--format", "--config"},
+            "evolve": request | {"--steps", "--out", "--format", "--config"},
+            "metrics": request | {"--out", "--config"},
+            "sweep": {"--resolution", "--out", "--format", "--config"},
+            "figures": {"--T", "--steps", "--resolution", "--out", "--format",
+                        "--config"},
+        }
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert sorted(commands) == sorted(reads)
+        for name, parser in commands.items():
+            flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == reads[name], name
+        # each parser's actions: its options, -h, and figures' number
+        assert sum(len(parser._actions) - 1 for parser in commands.values()) == 48
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--resolution", "12", "--steps", "7", "--mu", "3"], "--steps"),
+        (["sweep", "--resolution", "12", "--protocol", "multi"], "--protocol"),
+        (["figures", "4", "--mu", "0.2"], "--mu"),
+        (["figures", "4", "--preset", "cavity-bell"], "--preset"),
+        (["metrics", "--protocol", "multi", "--mu", "0.5", "--steps", "7"], "--steps"),
+        (["metrics", "--protocol", "multi", "--mu", "0.5", "--format", "json"],
+         "--format"),
+        (["design", "--protocol", "multi", "--mu", "0.5", "--resolution", "7"],
+         "--resolution"),
+        (["evolve", "--protocol", "multi", "--mu", "0.5", "--resolution", "7"],
+         "--resolution"),
+    ])
+    def test_unread_option_is_usage_error(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unread_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("resolution = 12\nsteps = 7\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "--steps" in err
+        assert not out.exists()
+
     def test_missing_protocol(self):
         assert main(["design"]) == EXIT_USAGE
 
@@ -518,13 +564,14 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["evolve", "--T", T] for T in ("1e-160", "1e-120", "1e150", "1e200")]
+        [["evolve", "--T", T, "--steps", "100"]
+         for T in ("1e-160", "1e-120", "1e150", "1e200")]
         + [["metrics", "--T", "1e-320"]],
     )
     def test_extreme_duration(self, tmp_path, capsys, argv):
         # dt**2 or dt**3 leaves the float range: exit 2, no traceback
         code = main(argv + ["--protocol", "single-I", "--nu", "0.6",
-                            "--steps", "100", "--out", str(tmp_path)])
+                            "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
         assert "interval length" in capsys.readouterr().err
 

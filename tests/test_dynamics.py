@@ -354,10 +354,12 @@ class TestEvolve:
 
     def test_fourth_order_convergence(self):
         d = symmetric_design()
-        ref = evolve(d.hamiltonian, d.initial_state, 0.0, 1.0, steps=3200).final_state
+        # a label-only spec steps RK4, although the design's own is exact
+        spec = HamiltonianSpec(3, d.hamiltonian.evaluator)
+        ref = evolve(spec, d.initial_state, 0.0, 1.0, steps=3200).final_state
         e = {}
         for steps in (100, 200):
-            final = evolve(d.hamiltonian, d.initial_state, 0.0, 1.0, steps=steps)
+            final = evolve(spec, d.initial_state, 0.0, 1.0, steps=steps)
             e[steps] = np.linalg.norm(final.final_state - ref)
         ratio = e[100] / e[200]
         assert 12.0 <= ratio <= 20.0
@@ -496,7 +498,43 @@ def package_rotations():
     # theta stays at pi/2 and phi at 0: no angle moves
     specs["single-II-identity"] = design(ProtocolRequest(
         Protocol.SINGLE_MODE_II, TargetState(1.0, 0.0, 0.0))).hamiltonian
+    # both angles move: a fixed axis inside a turning frame
+    for name in FRAMED_CASES:
+        specs[name] = framed_case(name).hamiltonian
+    rng = np.random.default_rng(73)
+    specs["lambda-random"] = lambda_hamiltonian(
+        PulseSet(cubic_schedule(rng, -0.4, 1.3)))
+    specs["four-level"] = four_level_hamiltonian(cubic_schedule(rng, -0.4, 1.3))
     return specs
+
+
+# single-II moves both angles; mu = 0 ends theta at 0, eta near 1 ends phi
+# near pi/2
+FRAMED_CASES = {
+    "single-II": ((SQ3, SQ3, SQ3), 0.0, 1.0),
+    "single-II-mu0": ((0.0, SQ2, SQ2), 0.2, 1.7),
+    "single-II-eta-near-1": ((1e-3, 1.0, 1e-3), -0.5, 2.5),
+}
+
+
+def framed_case(name):
+    """The single-II design of one ``FRAMED_CASES`` entry."""
+    amplitudes, t0, tf = FRAMED_CASES[name]
+    return design(ProtocolRequest(Protocol.SINGLE_MODE_II,
+                                  TargetState.normalized(*amplitudes), t0=t0, tf=tf))
+
+
+def rotation_hamiltonian(rotation, times):
+    """g' F G F^dagger + f' K on a time grid, from a Rotation's fields alone."""
+    h = rotation.angle.derivative(times)[:, None, None] * rotation.generator
+    frame = rotation.frame
+    if frame is None:
+        return h
+    k = frame.generator
+    b = (frame.angle(times) - frame.angle.a0)[:, None, None]
+    turn = np.eye(len(k)) - 1j * np.sin(b) * k + (np.cos(b) - 1.0) * (k @ k)
+    return (turn @ h @ np.swapaxes(turn, -1, -2).conj()
+            + frame.angle.derivative(times)[:, None, None] * k)
 
 
 class TestSingleAxis:
@@ -528,33 +566,65 @@ class TestSingleAxis:
         traj = evolve(rebuilt, psi0, t0, tf, steps=1537)
         assert np.array_equal(traj.times, original.times)
         assert traj.states.tobytes() == original.states.tobytes()
-        single_axis = name in ("single-I", "single-II-nomw", "multi", "cavity-qed")
-        assert isinstance(spec.source, Rotation) is single_axis
-        assert (len(calls) == 0) is single_axis
+        # only phased still steps RK4; single-II keeps its frame in source
+        closed_form = name != "phased"
+        assert isinstance(spec.source, Rotation) is closed_form
+        assert (spec.source is not None and spec.source.frame is not None) is (
+            name == "single-II")
+        assert (len(calls) == 0) is closed_form
 
     @pytest.mark.parametrize("name", sorted(package_rotations()))
     def test_rotation_is_the_evaluator(self, name):
         spec = package_rotations()[name]
         rotation = spec.source
         assert isinstance(rotation, Rotation)
-        g = rotation.generator
-        assert g.shape == (spec.dimension, spec.dimension)
-        assert np.array_equal(g, g.conj().T)
-        assert np.max(np.abs(g @ g @ g - g)) <= 1e-15
+        for axis in (rotation, rotation.frame):
+            if axis is None:
+                continue
+            g = axis.generator
+            assert g.shape == (spec.dimension, spec.dimension)
+            assert np.array_equal(g, g.conj().T)
+            assert np.max(np.abs(g @ g @ g - g)) <= 1e-15
+            assert (axis.angle.t0, axis.angle.tf) == (rotation.angle.t0,
+                                                      rotation.angle.tf)
         t0, tf = rotation.angle.t0, rotation.angle.tf
         times = np.linspace(t0, tf, 1001)
         h = spec.evaluator(times)
-        expected = rotation.angle.derivative(times)[:, None, None] * g
+        expected = rotation_hamiltonian(rotation, times)
         ulp = np.spacing(np.max(np.abs(h), axis=(-2, -1)))
         assert np.all(np.max(np.abs(h - expected), axis=(-2, -1)) <= 4 * ulp)
 
     def test_moving_angles_carry_no_source(self):
-        assert symmetric_design().hamiltonian.source is None
+        # phased drives on two moving angles still step RK4: Omega_a =
+        # +dtheta, or a moving kappa, does not cancel in the frame
+        phased = design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+                                        tf=2.0, lambda_rate=0.7))
+        assert phased.hamiltonian.source is None
         theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
-        pulses = PulseSet(AngleSchedule(0.0, 1.0, theta=theta, phi=theta))
-        assert lambda_hamiltonian(pulses).source is None
-        for name in ("phased", "four-level", "from-basis", "from-basis-four-level"):
+        schedule = AngleSchedule(0.0, 1.0, theta=theta, phi=theta)
+        assert lambda_hamiltonian(PulseSet(schedule, phased=True)).source is None
+        for name in ("phased", "from-basis", "from-basis-four-level"):
             assert evaluator_specs()[name].source is None
+
+    def test_moving_angles_carry_a_frame(self):
+        # phi turns the fixed axis, theta turns the frame
+        d = symmetric_design()
+        rng = np.random.default_rng(83)
+        four = cubic_schedule(rng, 0.0, 1.0)
+        for spec, schedule in ((d.hamiltonian, d.schedule),
+                               (lambda_hamiltonian(d.pulses), d.schedule),
+                               (four_level_hamiltonian(four), four)):
+            assert spec.source.angle is schedule.phi
+            assert spec.source.frame.angle is schedule.theta
+            assert spec.source.frame.frame is None
+
+    @pytest.mark.parametrize("frame", ["theta", 0, "nested"])
+    def test_frame_other_than_frameless_rotation_rejected(self, frame):
+        rotation = symmetric_design().hamiltonian.source
+        if frame == "nested":
+            frame = rotation
+        with pytest.raises(InvalidInputError, match="frame"):
+            Rotation(rotation.generator, rotation.angle, frame)
 
     @pytest.mark.parametrize("source", ["three-level-lambda", "custom", 0, 1.5])
     def test_source_other_than_rotation_rejected(self, source):
@@ -569,6 +639,46 @@ class TestSingleAxis:
         traj = evolve(spec, d.initial_state, d.schedule.t0, d.schedule.tf, steps=100)
         assert np.max(np.abs(traj.norms - 1.0)) <= 1e-15
         assert 1.0 - traj.fidelity_to(d.target_vector) <= 1e-15
+
+
+class TestFramedRotation:
+    """Designs on two moving angles are propagated in a turning frame."""
+
+    @pytest.mark.parametrize("steps", [100, 400, 401, 1537, 4000])
+    @pytest.mark.parametrize("name", sorted(FRAMED_CASES))
+    def test_single_II_is_exact(self, name, steps):
+        d = framed_case(name)
+        t0, tf = d.schedule.t0, d.schedule.tf
+        assert isinstance(d.hamiltonian.source.frame, Rotation)
+        traj = evolve(d.hamiltonian, d.initial_state, t0, tf, steps=steps)
+        error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times), axis=1))
+        assert error <= 1e-14
+        assert 1.0 - traj.fidelity_to(d.target_vector) <= 1e-14
+
+    @pytest.mark.parametrize("family", ["lambda", "four-level"])
+    def test_random_schedules_from_any_start(self, family):
+        # a random complex psi0, handed to evolve at a t0 inside the
+        # schedule, follows the basis: psi(t) = B(t)^T conj(B(t0)) psi0 for
+        # basis rows B
+        rng = np.random.default_rng(79)
+        build = build_three_real_basis if family == "lambda" else build_four_level_basis
+        for _ in range(20):
+            t0 = rng.uniform(-1.0, 1.0)
+            tf = t0 + rng.uniform(0.2, 3.0)
+            schedule = cubic_schedule(rng, t0, tf)
+            if family == "lambda":
+                spec = lambda_hamiltonian(PulseSet(schedule))
+            else:
+                spec = four_level_hamiltonian(schedule)
+            assert isinstance(spec.source.frame, Rotation)
+            basis = build(schedule)
+            psi0 = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+            psi0 /= np.linalg.norm(psi0)
+            start = rng.uniform(t0, t0 + 0.5 * (tf - t0))
+            steps = int(rng.integers(100, 1200))
+            traj = evolve(spec, psi0, start, tf, steps=steps)
+            exact = (basis.vectors(start).conj() @ psi0) @ basis.vectors(traj.times)
+            assert np.max(np.abs(traj.states - exact)) <= 1e-14
 
 
 class TestIntegerCounts:
