@@ -171,7 +171,41 @@ class MovingBasis:
 
         ``t`` of shape S gives shape S + (d, d); a scalar gives (d, d).
         """
+        if isinstance(t, float) and self.dimension == 3:
+            return self._float_vectors(float(t))
         return self._rows(*self._trig(t))
+
+    def _float_vectors(self, t: float) -> np.ndarray:
+        """``vectors`` of a three-level family at a float t, bit for bit.
+
+        The rows of ``_rows`` with each cubic's Horner form written out, in
+        Python floats and libm, as one flat tuple: one numpy array, about
+        half the cost of the generic scalar path.
+        """
+        sched = self.schedule
+        f = sched.theta
+        s = t - f.t0
+        a = f.a0 + s * (f.a1 + s * (f.a2 + s * f.a3))
+        f = sched.phi
+        s = t - f.t0
+        b = f.a0 + s * (f.a1 + s * (f.a2 + s * f.a3))
+        c, sn, cp, sp = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+        if self.family is BasisFamily.THREE_REAL:
+            rows = (c, 0.0, sn, sn * cp, sp, -c * cp, sn * sp, -cp, -c * sp)
+            return np.array(rows).astype(complex).reshape(3, 3)
+        f = sched.gamma
+        s = t - f.t0
+        a = f.a0 + s * (f.a1 + s * (f.a2 + s * f.a3))
+        f = sched.kappa
+        s = t - f.t0
+        b = f.a0 + s * (f.a1 + s * (f.a2 + s * f.a3))
+        cg, sg, ck, sk = math.cos(a), math.sin(a), math.cos(b), math.sin(b)
+        eg = 1j * sg + cg
+        ek = 1j * sk + ck
+        rows = (sn * cp, eg * sp, ek * c * cp,
+                sn * sp, -eg * cp, ek * c * sp,
+                c, 0.0, -ek * sn)
+        return np.array(rows, dtype=complex).reshape(3, 3)
 
     def vector_derivatives(self, t) -> np.ndarray:
         """Time derivatives of the basis vectors, one per row.

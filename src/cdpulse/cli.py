@@ -167,10 +167,18 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser, with ``command``'s subparser alone if it is one.
+
+    Building the five subparsers costs several times the parse itself, so
+    ``main`` builds only the one its command line invokes; top-level help
+    and an unknown command get all five.
+    """
     parser = _Parser(prog="cdpulse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, reads) in _SUBCOMMANDS.items():
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    for name in names:
+        help_text, reads = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in _OPTIONS.items():
             if flag in reads:
@@ -415,7 +423,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
+        parser = build_parser(argv[0] if argv else None)
         args = parser.parse_args(argv)
         if args.config:
             # the file's options go right after the subcommand, so that the

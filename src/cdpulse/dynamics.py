@@ -34,11 +34,16 @@ F(t) = exp(-i (theta(t) - theta_ref) K), K = -G_a, turns G(theta_ref) into
 G(theta), so in that frame the drive is dphi G(theta_ref), one fixed axis,
 and the propagator is F(t) exp(-i (phi(t) - phi(t0)) G(theta_ref)) F(t0)^-1.
 The four-level drive dtheta G_theta + dphi G_phi has the same form with
-commuting generators.  Both carry a ``Rotation`` with a ``frame`` and are
-propagated in closed form too.
+commuting generators, and so does the phased drive dtheta (cos(kappa) G_1 +
+sin(kappa) G_2) + dkappa G_3: the frame exp(-i kappa G_3) =
+diag(1, 1, e^{i kappa}) turns G_1 into cos(kappa) G_1 + sin(kappa) G_2.
+All three carry a ``Rotation`` with a ``frame`` and are propagated in
+closed form too, so every design is.
 
-Every other spec, whose ``source`` is None, is integrated with the
-classical fixed-step fourth-order Runge-Kutta scheme.
+A spec whose ``source`` is None (``hamiltonian_from_basis``, phased pulses
+on two moving angles, which no design builds, or a user's own evaluator)
+is integrated with the classical fixed-step fourth-order Runge-Kutta
+scheme, the independent cross-check of the closed forms.
 Because the right-hand side -iH(t)psi is linear in psi, each RK4 step is a
 fixed propagator.  ``evolve`` evaluates A on whole blocks of stage times,
 builds the step propagators with batched matrix products, and applies them
@@ -254,6 +259,13 @@ def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     With phi and gamma constant it equals the generic construction
     entrywise: H13 = i*dtheta*e^{-i kappa}, H33 = -dkappa, zero elsewhere
     but for H31 = conj(H13).  Designs keep phi = gamma = 0.
+
+    H = dtheta G(kappa) + dkappa G_3 with G(kappa) = cos(kappa) G_1 +
+    sin(kappa) G_2, and the frame F = exp(-i (kappa - kappa_ref) G_3) =
+    diag(1, 1, e^{i (kappa - kappa_ref)}), kappa_ref = kappa.a0, turns
+    G(kappa_ref) into G(kappa).  So the source is the ``Rotation`` of the
+    axis G(kappa_ref) by theta in the frame of G_3 turning with kappa; a
+    design starts kappa at 0, where the axis is G_1.
     """
     if not (schedule.phi.is_constant and schedule.gamma.is_constant):
         raise InvalidInputError("phased Hamiltonian requires constant phi and gamma")
@@ -263,7 +275,11 @@ def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
         return np.stack((dtheta * np.cos(kappa), dtheta * np.sin(kappa),
                          schedule.dkappa(t)), axis=-1)
 
-    return _linear_hamiltonian(_PHASED_GENERATORS, rates)
+    g_1, g_2, g_3 = _PHASED_GENERATORS
+    kappa_ref = schedule.kappa.a0
+    axis = math.cos(kappa_ref) * g_1 + math.sin(kappa_ref) * g_2
+    return _linear_hamiltonian(_PHASED_GENERATORS, rates, Rotation(
+        axis, schedule.theta, frame=Rotation(g_3, schedule.kappa)))
 
 
 def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -477,16 +493,17 @@ def evolve(
     The state is propagated as x = (Re psi, Im psi) under the real form of
     A = -iH (module docstring), block by block of up to BLOCK_STEPS steps.
 
-    A spec whose source is a ``Rotation`` is propagated exactly: each
-    state is exp(-i a G) psi0 with a = angle(t_k) - angle(t0), inside
-    F(t_k) ... F(t0)^-1 when the rotation has a frame F, written in closed
-    form from psi0 (``_rotate``).  The evolve ``t0`` need not start the
-    schedule.  The evaluator is never called and nothing accumulates from
-    step to step; the step count sets only the output grid.
+    A spec whose source is a ``Rotation``, as every design's is, is
+    propagated exactly: each state is exp(-i a G) psi0 with
+    a = angle(t_k) - angle(t0), inside F(t_k) ... F(t0)^-1 when the
+    rotation has a frame F, written in closed form from psi0 (``_rotate``).
+    The evolve ``t0`` need not start the schedule.  The evaluator is never
+    called and nothing accumulates from step to step; the step count sets
+    only the output grid.
 
-    Every other spec is integrated with fixed-step RK4.  For each block,
-    A is evaluated on the stage grids t_k, t_k + h/2 and t_k + h, and the
-    step propagators
+    A spec without a source is integrated with fixed-step RK4.  For each
+    block, A is evaluated on the stage grids t_k, t_k + h/2 and t_k + h,
+    and the step propagators
 
         M_k = I + h/6 (A1 + 2 K2 + 2 K3 + K4),  K2 = A2 (I + h/2 A1),
         K3 = A2 (I + h/2 K2),  K4 = A4 (I + h K3)

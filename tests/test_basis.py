@@ -160,6 +160,16 @@ class TestMovingBases:
                     assert b.shape == (d, d) and b.dtype == complex
                     assert np.max(np.abs(b - expected)) <= 1e-15
 
+    def test_float_vectors_match_the_generic_rows_bit_for_bit(self):
+        # the three-level families write a float time's rows out flat; the
+        # bytes must be those of the row formulas on libm (cos, sin) pairs
+        rng = np.random.default_rng(29)
+        for builder, phases in self.builders()[:2]:
+            basis = builder(cubic_schedule(rng, -0.4, 1.3, phases=phases))
+            for t in (-0.4, *rng.uniform(-0.4, 1.3, size=50), np.float64(1.3)):
+                generic = basis._rows(*basis._trig(t))
+                assert basis.vectors(t).tobytes() == generic.tobytes()
+
     def test_family_guards(self):
         rng = np.random.default_rng(2)
         sched = cubic_schedule(rng, phases=True)

@@ -471,6 +471,30 @@ class TestConfigAndErrors:
         # each parser's actions: its options, -h, and figures' number
         assert sum(len(parser._actions) - 1 for parser in commands.values()) == 48
 
+    def test_only_the_invoked_subparser_is_built(self, tmp_path, monkeypatch, capsys):
+        full = cli.build_parser()._subparsers._group_actions[0].choices
+        for name, parser in full.items():
+            alone = cli.build_parser(name)._subparsers._group_actions[0].choices
+            assert list(alone) == [name]
+            assert alone[name].format_help() == parser.format_help()
+        built = []
+        original = cli.build_parser
+
+        def recording(*args):
+            parser = original(*args)
+            built.append(sorted(parser._subparsers._group_actions[0].choices))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        assert main(["sweep", "--resolution", "12", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["sweep", "--resolution", "12", "--steps", "7"]) == EXIT_USAGE
+        assert main(["bogus"]) == EXIT_USAGE
+        assert main([]) == EXIT_USAGE
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{design,evolve,sweep,metrics,figures}" in capsys.readouterr().out
+        assert built == [["sweep"], ["sweep"]] + [sorted(full)] * 3
+
     @pytest.mark.parametrize("argv,flag", [
         (["sweep", "--resolution", "12", "--steps", "7", "--mu", "3"], "--steps"),
         (["sweep", "--resolution", "12", "--protocol", "multi"], "--protocol"),
@@ -595,31 +619,17 @@ class TestConfigAndErrors:
         assert code == EXIT_VALIDATION
         assert "kappa" in capsys.readouterr().err
 
-    def test_winding_beyond_any_step_count(self, tmp_path, capsys):
-        # kappa(tf) is finite, but h*dkappa overflows RK4 at every admitted
-        # step count: a bad --lambda (exit 2), not a call for more steps
+    @pytest.mark.parametrize("lam", ["1e3", "1e6", "1e300"])
+    def test_any_finite_winding_is_exact(self, tmp_path, lam):
+        # RK4 needed more steps at 1e3 and could not integrate 1e6 or 1e300
+        # at any step count; the closed form reaches the target at 100
         code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
-                     "--initial", "3", "--lambda", "1e300", "--out", str(tmp_path)])
-        assert code == EXIT_VALIDATION
-        assert "--lambda" in capsys.readouterr().err
-        assert not (tmp_path / "trajectory.csv").exists()
-
-    def test_winding_that_rk4_damping_rules_out(self, tmp_path, capsys):
-        # h*dkappa is stable at the largest admitted step count, but RK4's
-        # damping still drifts the norm far past 1e-6 there: more steps
-        # cannot help, so this is a bad --lambda, not an accuracy error
-        code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
-                     "--initial", "3", "--lambda", "1e6", "--out", str(tmp_path)])
-        assert code == EXIT_VALIDATION
-        assert "--lambda" in capsys.readouterr().err
-        assert not (tmp_path / "trajectory.csv").exists()
-
-    def test_winding_that_more_steps_resolve(self, tmp_path, capsys):
-        # too fast for 4000 steps; 100000 integrate it (test_protocols)
-        code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
-                     "--initial", "3", "--lambda", "1e3", "--out", str(tmp_path)])
-        assert code == EXIT_ACCURACY
-        assert "increase the step count" in capsys.readouterr().err
+                     "--initial", "3", "--lambda", lam, "--steps", "100",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert 1.0 - summary["final_fidelity"] <= 1e-15
+        assert summary["max_norm_drift"] <= 1e-15
 
     @pytest.mark.parametrize("steps", ["-5", "0"])
     def test_design_step_count_names_the_flag(self, tmp_path, capsys, steps):

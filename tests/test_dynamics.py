@@ -495,6 +495,9 @@ def package_rotations():
                                     tf=2.0, lambda_rate=0.7))
     # a phased pulse set has Omega_a = +dtheta and a frozen phi
     specs["phased-pulses"] = lambda_hamiltonian(phased.pulses)
+    # theta by a fixed axis in the frame turning with kappa about |3>
+    specs["phased"] = phased.hamiltonian
+    specs["phased-constant-phases"] = evaluator_specs()["phased"]
     # theta stays at pi/2 and phi at 0: no angle moves
     specs["single-II-identity"] = design(ProtocolRequest(
         Protocol.SINGLE_MODE_II, TargetState(1.0, 0.0, 0.0))).hamiltonian
@@ -566,12 +569,10 @@ class TestSingleAxis:
         traj = evolve(rebuilt, psi0, t0, tf, steps=1537)
         assert np.array_equal(traj.times, original.times)
         assert traj.states.tobytes() == original.states.tobytes()
-        # only phased still steps RK4; single-II keeps its frame in source
-        closed_form = name != "phased"
-        assert isinstance(spec.source, Rotation) is closed_form
-        assert (spec.source is not None and spec.source.frame is not None) is (
-            name == "single-II")
-        assert (len(calls) == 0) is closed_form
+        # every design is closed form; single-II and phased keep a frame
+        assert isinstance(spec.source, Rotation)
+        assert (spec.source.frame is not None) is (name in ("single-II", "phased"))
+        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(package_rotations()))
     def test_rotation_is_the_evaluator(self, name):
@@ -595,16 +596,22 @@ class TestSingleAxis:
         assert np.all(np.max(np.abs(h - expected), axis=(-2, -1)) <= 4 * ulp)
 
     def test_moving_angles_carry_no_source(self):
-        # phased drives on two moving angles still step RK4: Omega_a =
-        # +dtheta, or a moving kappa, does not cancel in the frame
-        phased = design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
-                                        tf=2.0, lambda_rate=0.7))
-        assert phased.hamiltonian.source is None
+        # phased pulses on two moving angles, which no design builds, still
+        # step RK4: Omega_a = +dtheta does not cancel in the frame; so do
+        # the generic assemblies
         theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
         schedule = AngleSchedule(0.0, 1.0, theta=theta, phi=theta)
         assert lambda_hamiltonian(PulseSet(schedule, phased=True)).source is None
-        for name in ("phased", "from-basis", "from-basis-four-level"):
+        for name in ("from-basis", "from-basis-four-level"):
             assert evaluator_specs()[name].source is None
+
+    @pytest.mark.parametrize("branch", list(Branch))
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_every_design_carries_a_source(self, protocol, branch):
+        two_state = protocol in (Protocol.SINGLE_MODE_I, Protocol.PHASED)
+        target = TargetState(0.6, 0.0, 0.8) if two_state else TargetState(SQ3, SQ3, SQ3)
+        d = design(ProtocolRequest(protocol, target, branch=branch))
+        assert isinstance(d.hamiltonian.source, Rotation)
 
     def test_moving_angles_carry_a_frame(self):
         # phi turns the fixed axis, theta turns the frame

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdpulse import (
     AngleSchedule,
@@ -27,11 +28,8 @@ from cdpulse import (
     select_branch,
     solve_multimode_boundary,
 )
-from cdpulse import dynamics
-from cdpulse.dynamics import max_steps
-from cdpulse.protocols import WINDING_MARGIN, phased_winding_limit
+from cdpulse import HamiltonianSpec, dynamics
 from cdpulse.errors import (
-    IntegrationAccuracyError,
     InvalidInputError,
     ProtocolMismatchError,
     UnsupportedBranchError,
@@ -396,54 +394,73 @@ class TestPhased:
 
     @pytest.mark.parametrize("T", [0.5, 3.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_winding_too_fast_for_any_step_count_rejected(self, T, sign):
-        # RK4's damping of the |3> phase winding drifts the norm past its
-        # tolerance at every admitted step count beyond this limit
-        limit = phased_winding_limit()
-        n = max_steps(3)
-        assert limit == WINDING_MARGIN * (288e-6 * n**5) ** (1 / 6)
-        assert 6.0e5 < limit < 6.1e5
-        rate = sign * limit / (math.pi * T)
-
-        def request(lam):
-            return ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
-                                   initial_state=3, tf=T, lambda_rate=lam)
-
-        d = design_phased(request(rate * (1.0 - 1e-9)))
-        assert abs(d.boundary["kappa_f"]) <= limit
-        for lam in (rate * (1.0 + 1e-9), sign * 1e300):
-            with pytest.raises(InvalidInputError, match="--lambda"):
-                design_phased(request(lam))
+    @pytest.mark.parametrize("kappa_f", [1e3 * math.pi, 6.1e5, 1e12, 1e300])
+    def test_any_finite_winding_is_accepted_and_exact(self, T, sign, kappa_f):
+        # the closed form has no step-count limit: a winding that RK4 needed
+        # more than 4000 steps for (lambda = 1e3 at T = 1) or could not
+        # integrate at all (|kappa(tf)| > 6.1e5 at its largest step count)
+        # is designed and propagated to rounding at 100 steps
+        d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+                                          initial_state=3, tf=T,
+                                          lambda_rate=sign * kappa_f / (math.pi * T)))
+        assert d.boundary["kappa_f"] == pytest.approx(sign * kappa_f, rel=1e-15)
+        traj = run(d, steps=100)
+        assert np.max(np.abs(traj.norms - 1.0)) <= 1e-15
+        error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times), axis=1))
+        assert error <= 1e-15
+        assert 1.0 - traj.fidelity_to(d.target_vector) <= 1e-15
 
     @pytest.mark.parametrize("mu", [0.0, 0.6, 1.0])
-    def test_damping_law_behind_the_winding_limit(self, monkeypatch, mu):
-        # the limit rests on a drift of at least kappa_f**6 / (288 n**5) and
+    def test_winding_is_exact_where_rk4_damps(self, monkeypatch, mu):
+        # RK4 damps the |3> winding by at least kappa_f**6 / (288 n**5) and
         # at most kappa_f**6 / (144 n**5) (all of the population on |3>),
-        # both up to RK4's y**8 term (0.07% here); checked at n = 4000
+        # both up to its y**8 term; the design's own spec has no such drift
         n, tol = 4000, dynamics.NORM_DRIFT_TOL
         nu = math.sqrt(1.0 - mu * mu)
 
-        def drift(kappa_f):
+        def drifts(kappa_f):
             d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(mu, 0.0, nu),
                                               initial_state=3,
                                               lambda_rate=kappa_f / math.pi))
-            traj = run(d, steps=n)
-            return float(np.max(np.abs(traj.norms - 1.0)))
+            # a label-only spec of the same evaluator steps RK4
+            rk4 = evolve(HamiltonianSpec(3, d.hamiltonian.evaluator),
+                         d.initial_state, 0.0, 1.0, steps=n)
+            closed = run(d, steps=n)
+            return (float(np.max(np.abs(closed.norms - 1.0))),
+                    float(np.max(np.abs(rk4.norms - 1.0))))
 
         monkeypatch.setattr(dynamics, "NORM_DRIFT_TOL", 1.0)
         low = (0.5 * 144.0 * tol * n**5) ** (1 / 6)
         high = (2.0 * 288.0 * tol * n**5) ** (1 / 6)
-        assert drift(low) <= 0.5 * tol
-        assert drift(high) >= 1.99 * tol
+        closed_low, rk4_low = drifts(low)
+        closed_high, rk4_high = drifts(high)
+        assert rk4_low <= 0.5 * tol
+        assert rk4_high >= 1.99 * tol
+        assert max(closed_low, closed_high) <= 1e-15
 
-    def test_fast_winding_that_more_steps_resolve_is_kept(self):
-        # at 4000 steps h*dkappa ~ 0.79 breaks the norm; 100000 steps reach
-        # the target, so this lambda must stay an accuracy matter
-        d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(0.6, 0.0, 0.8),
-                                          initial_state=3, lambda_rate=1e3))
-        with pytest.raises(IntegrationAccuracyError, match="increase the step count"):
-            run(d)
-        assert run(d, steps=100_000).fidelity_to(d.target_vector) >= 1.0 - 1e-5
+    @pytest.mark.parametrize("lam", [None, -1.3, 10.0, 1e3])
+    @pytest.mark.parametrize("T", [0.1, 1.0, 2.5, 7.3])
+    def test_exact_at_400_steps(self, lam, T):
+        rng = np.random.default_rng(int(T * 10))
+        for mu in (0.0, *rng.uniform(0.0, 1.0, size=4), 1.0):
+            d = design_phased(ProtocolRequest(
+                Protocol.PHASED, TargetState(mu, 0.0, math.sqrt(1.0 - mu * mu)),
+                initial_state=3, tf=T, lambda_rate=lam))
+            traj = run(d, steps=400)
+            error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times),
+                                          axis=1))
+            assert error <= 1e-15
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mu=st.floats(0.0, 1.0), T=st.floats(0.1, 10.0),
+           lam=st.floats(-1e3, 1e3), t0=st.floats(-5.0, 5.0))
+    def test_any_phased_target_is_exact(self, mu, T, lam, t0):
+        d = design_phased(ProtocolRequest(
+            Protocol.PHASED, TargetState(mu, 0.0, math.sqrt(1.0 - mu * mu)),
+            initial_state=3, t0=t0, tf=t0 + T, lambda_rate=lam))
+        traj = run(d, steps=400)
+        error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times), axis=1))
+        assert error <= 1e-13
 
 
 class TestDispatchAndPresets:
