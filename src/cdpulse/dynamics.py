@@ -11,10 +11,10 @@ against entrywise.
 
 Evaluators are vectorized over time: ``spec.evaluator(t)`` with ``t`` of
 shape S returns shape S + (d, d), and a scalar ``t`` returns one (d, d)
-matrix.  Time evolution uses hbar = 1 and works in real arithmetic: A = -iH
-acts on x = (Re psi, Im psi) as the real 2d x 2d matrix [[Re A, -Im A],
-[Im A, Re A]], whose batched products are several times cheaper in numpy
-than complex d x d ones.
+matrix.  Time evolution uses hbar = 1.  The closed forms below work in
+real arithmetic: A = -iG acts on x = (Re psi, Im psi) as the real 2d x 2d
+matrix [[Re A, -Im A], [Im A, Re A]], whose products with many states are
+cheaper in numpy than complex d x d ones.
 
 Where a Lambda schedule freezes one angle, H(t) points along one fixed
 axis: H(t) = g'(t) G for a schedule cubic g and a constant Hermitian G
@@ -43,13 +43,9 @@ closed form too, so every design is.
 A spec whose ``source`` is None (``hamiltonian_from_basis``, phased pulses
 on two moving angles, which no design builds, or a user's own evaluator)
 is integrated with the classical fixed-step fourth-order Runge-Kutta
-scheme, the independent cross-check of the closed forms.
-Because the right-hand side -iH(t)psi is linear in psi, each RK4 step is a
-fixed propagator.  ``evolve`` evaluates A on whole blocks of stage times,
-builds the step propagators with batched matrix products, and applies them
-with a two-level scan: running products within chunks of about sqrt(n/2)
-steps, batched across chunks, then one matrix-vector product per chunk to
-chain the chunk starts.
+scheme, the independent cross-check of the closed forms.  It is the
+textbook loop in complex arithmetic, one step at a time; only the
+evaluator is called on a whole block of stage times at once.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ if TYPE_CHECKING:
     from .schedules import CubicPolynomial
 
 NORM_DRIFT_TOL = 1e-6
-BLOCK_STEPS = 512  # steps whose states (and RK4 propagators) are built together
+BLOCK_STEPS = 1 << 14  # steps whose states are built together
 
 # H(t) = sum_k c_k(t) G_k for the closed-form couplings, with the pulse or
 # angle-rate coefficients c_k in the order given in each comment.
@@ -362,87 +358,22 @@ def max_steps(dimension: int) -> int:
     return MAX_ARRAY_BYTES // _step_bytes(dimension) - 1
 
 
-def _stage_generators(spec: HamiltonianSpec, t: np.ndarray, h: float) -> np.ndarray:
-    """h times the real form of A = -iH on the grids t, t + h/2 and t + h.
+def _rk4(spec: HamiltonianSpec, t: np.ndarray, h: float, states: np.ndarray) -> None:
+    """Classical RK4 steps from the times t: states[k + 1] from states[k].
 
-    The evaluator is called once, on the three grids joined; the result has
-    shape (3, n, 2d, 2d).
+    The evaluator is called once, on the stage grids t, t + h/2 and t + h
+    joined, and each step is the textbook update with A = -iH.
     """
-    stages = np.concatenate((t, t + 0.5 * h, t + h))
-    m = 2 * spec.dimension
-    b = _real_form(spec.evaluator(stages)).reshape(3, len(t), m, m)
-    b *= h
-    return b
-
-
-def _add_identity(x: np.ndarray) -> None:
-    """x += I for a stack of square matrices, through the diagonal alone."""
-    x.reshape(len(x), -1)[:, :: x.shape[-1] + 1] += 1.0
-
-
-def _step_propagators(b: np.ndarray, out: np.ndarray) -> None:
-    """RK4 step matrices M_k into ``out`` from b = h*A on the stage grids.
-
-    With (b1, b2, b4) = h*(A(t_k), A(t_k + h/2), A(t_k + h)) and c_j = h*K_j,
-
-        c2 = b2 + b2 b1 / 2,  c3 = b2 + b2 c2 / 2,  c4 = b4 + b4 c3,
-        M_k = I + (b1 + 2 (c2 + c3) + c4) / 6,
-
-    the propagator of one classical RK4 step.  ``b`` is overwritten, and
-    ``out`` and one more stack are the only other storage.
-    """
-    b1, b2, b4 = b
-    c2 = np.matmul(b2, b1, out=out)
-    c2 *= 0.5
-    c2 += b2
-    c3 = b2 @ c2
-    c3 *= 0.5
-    c3 += b2
-    c4 = np.matmul(b4, c3, out=b2)
-    c4 += b4
-    c2 += c3
-    c2 *= 2.0
-    c2 += b1
-    c2 += c4
-    c2 /= 6.0
-    _add_identity(c2)
-
-
-def _scan(propagators: np.ndarray, n: int, x0: np.ndarray) -> np.ndarray:
-    """States x_k = M_{k-1} ... M_0 x0 for k = 1..n, one row each.
-
-    ``propagators`` holds the n step matrices followed by identities, in
-    ``chunks`` chunks of ``length`` steps, shape (chunks, length, m, m), and
-    is overwritten with the running products within each chunk (length - 1
-    batched products).  The chunk starts are then chained with one
-    matrix-vector product per chunk, and every state is one batched product
-    of a running product with its chunk's start.
-    """
-    chunks, length, m, _ = propagators.shape
-    for j in range(1, length):
-        np.matmul(propagators[:, j], propagators[:, j - 1], out=propagators[:, j])
-    starts = np.empty((chunks, m))
-    starts[0] = x0
-    for c in range(1, chunks):
-        np.dot(propagators[c - 1, -1], starts[c - 1], out=starts[c])
-    # each chunk's products stacked as one (length*m, m) matrix
-    states = propagators.reshape(chunks, length * m, m) @ starts[:, :, None]
-    return states.reshape(-1, m)[:n]
-
-
-def _propagate_block(spec: HamiltonianSpec, t: np.ndarray, h: float,
-                     x0: np.ndarray) -> np.ndarray:
-    """The real states after each of the RK4 steps from the times t, from x0."""
-    n, m = len(t), 2 * spec.dimension
-    # a chained matrix-vector product costs about half a batched chunk
-    # product, so chunks of about sqrt(n/2) steps balance the two loops
-    length = math.isqrt(n // 2) + 1
-    chunks = -(-n // length)
-    propagators = np.empty((chunks * length, m, m))
-    # the last chunk's padding is never read back; identities keep it finite
-    propagators[n:] = np.eye(m)
-    _step_propagators(_stage_generators(spec, t, h), propagators[:n])
-    return _scan(propagators.reshape(chunks, length, m, m), n, x0)
+    n, d = len(t), spec.dimension
+    h_stages = spec.evaluator(np.concatenate((t, t + 0.5 * h, t + h)))
+    a1, a2, a4 = -1j * h_stages.reshape(3, n, d, d)
+    psi = states[0]
+    for k in range(n):
+        k1 = a1[k] @ psi
+        k2 = a2[k] @ (psi + 0.5 * h * k1)
+        k3 = a2[k] @ (psi + 0.5 * h * k2)
+        k4 = a4[k] @ (psi + h * k3)
+        psi = states[k + 1] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _turn(generator: np.ndarray, a, x0: np.ndarray) -> np.ndarray:
@@ -490,8 +421,8 @@ def evolve(
 ) -> Trajectory:
     """Integrate i d/dt psi = H(t) psi on the grid t0 + k (tf - t0)/steps.
 
-    The state is propagated as x = (Re psi, Im psi) under the real form of
-    A = -iH (module docstring), block by block of up to BLOCK_STEPS steps.
+    The states are built block by block of up to BLOCK_STEPS steps, which
+    bounds each block's temporaries to a few MB.
 
     A spec whose source is a ``Rotation``, as every design's is, is
     propagated exactly: each state is exp(-i a G) psi0 with
@@ -501,23 +432,17 @@ def evolve(
     called and nothing accumulates from step to step; the step count sets
     only the output grid.
 
-    A spec without a source is integrated with fixed-step RK4.  For each
-    block, A is evaluated on the stage grids t_k, t_k + h/2 and t_k + h,
-    and the step propagators
+    A spec without a source is integrated with fixed-step classical RK4.
+    For each block, A = -iH is evaluated once on the stage grids t_k,
+    t_k + h/2 and t_k + h joined, and each step is
 
-        M_k = I + h/6 (A1 + 2 K2 + 2 K3 + K4),  K2 = A2 (I + h/2 A1),
-        K3 = A2 (I + h/2 K2),  K4 = A4 (I + h K3)
-
-    are formed with batched matrix products; x_{k+1} = M_k x_k is the
-    classical RK4 update regrouped, equal to it up to rounding.  The block's
-    n states come from a two-level scan: chunks of about sqrt(n/2) steps hold
-    running products, and the chunk starts are chained one matrix-vector
-    product at a time, so a block costs O(sqrt(n)) numpy calls.
+        k1 = A1 psi,  k2 = A2 (psi + h/2 k1),  k3 = A2 (psi + h/2 k2),
+        k4 = A4 (psi + h k3),  psi += h/6 (k1 + 2 k2 + 2 k3 + k4).
 
     No per-step renormalization is applied on either path; a norm drift
     beyond 1e-6 (or a non-finite state) raises IntegrationAccuracyError
-    (use more steps).  ``steps`` must be an integer (a numpy one will do)
-    of at least 100.
+    naming the first drifting step (use more steps).  ``steps`` must be an
+    integer (a numpy one will do) of at least 100.
     """
     if not isinstance(steps, (int, np.integer)):
         raise InvalidInputError(f"steps must be an integer, got {steps!r}")
@@ -538,20 +463,21 @@ def evolve(
     times = t0 + h * np.arange(steps + 1)
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi
-    # (Re, Im) pairs of the complex states, written block by block
-    parts = states.view(np.float64).reshape(steps + 1, d, 2)
-    x0 = x = np.concatenate([psi.real, psi.imag])
+    x0 = np.concatenate([psi.real, psi.imag])
     rotation = spec.source
 
     for start in range(0, steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, steps)
+        block = states[start + 1 : stop + 1]
         # overflow and NaN are left to the norm check at the end of the block
         with np.errstate(over="ignore", invalid="ignore"):
             if rotation is None:
-                block = _propagate_block(spec, times[start:stop], h, x)
+                _rk4(spec, times[start:stop], h, states[start : stop + 1])
             else:
-                block = _rotate(rotation, times[start + 1 : stop + 1], t0, x0)
-            drift = np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0)
+                x = _rotate(rotation, times[start + 1 : stop + 1], t0, x0)
+                block.real, block.imag = x[:, :d], x[:, d:]
+            pairs = block.view(np.float64)
+            drift = np.abs(np.sqrt(np.einsum("ij,ij->i", pairs, pairs)) - 1.0)
         bad = ~(drift <= NORM_DRIFT_TOL)
         if bad.any():
             first = int(np.argmax(bad))
@@ -559,9 +485,6 @@ def evolve(
                 f"norm drift {drift[first]:.3e} at t = {times[start + 1 + first]:.6g}; "
                 f"increase the step count (currently {steps})"
             )
-        parts[start + 1 : stop + 1, :, 0] = block[:, :d]
-        parts[start + 1 : stop + 1, :, 1] = block[:, d:]
-        x = block[-1]
 
     return Trajectory(times=times, states=states)
 

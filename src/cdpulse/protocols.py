@@ -421,12 +421,13 @@ def design_phased(request: ProtocolRequest) -> Design:
     0.5/T); gamma defaults to 0; phi stays 0, so the dynamics is
     two-state and Bloch-representable.
 
-    Any lambda with a finite kappa(tf) is accepted: ``evolve`` writes the
-    phased drive in closed form, so no step count limits the winding.  Its
-    own limit is the precision of kappa, an absolute phase error of about
-    ulp(kappa(tf)) in the |3> amplitude.  ``exact_state`` and
-    ``target_vector`` round kappa the same way, so the fidelity does not
-    see it.
+    ``evolve`` writes the phased drive in closed form, so no step count
+    limits the winding.  Its limit is the precision of kappa, an absolute
+    phase error of about ulp(kappa(tf)) in the |3> amplitude, which the
+    fidelity cannot show: ``exact_state`` and ``target_vector`` round kappa
+    the same way.  So lambda is accepted only while ulp(kappa(tf)) < 1 rad,
+    that is |kappa(tf)| < 2**52; the same test rejects an infinite or NaN
+    kappa(tf).
     """
     if request.protocol is not Protocol.PHASED:
         raise ProtocolMismatchError(f"expected phased, got {request.protocol.value}")
@@ -446,10 +447,10 @@ def design_phased(request: ProtocolRequest) -> Design:
     lam = request.lambda_rate if request.lambda_rate is not None else 0.5 / T
     theta_f = math.asin(tgt.mu)
     kappa_f = lam * math.pi * T
-    if not math.isfinite(kappa_f):
+    if not math.ulp(kappa_f) < 1.0:
         raise InvalidInputError(
-            f"final phase kappa(tf) = lambda*pi*T = {kappa_f:g} is not finite; "
-            "lower --lambda"
+            f"final phase kappa(tf) = lambda*pi*T = {kappa_f:g} is not below 2**52, "
+            "so its float cannot fix the |3> phase to a radian; lower --lambda"
         )
     return Design(
         protocol=request.protocol,

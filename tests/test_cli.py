@@ -619,9 +619,9 @@ class TestConfigAndErrors:
         assert code == EXIT_VALIDATION
         assert "kappa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lam", ["1e3", "1e6", "1e300"])
-    def test_any_finite_winding_is_exact(self, tmp_path, lam):
-        # RK4 needed more steps at 1e3 and could not integrate 1e6 or 1e300
+    @pytest.mark.parametrize("lam", ["1e3", "1e6", "1e12"])
+    def test_representable_winding_is_exact(self, tmp_path, lam):
+        # RK4 needed more steps at 1e3 and could not integrate 1e6 or 1e12
         # at any step count; the closed form reaches the target at 100
         code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
                      "--initial", "3", "--lambda", lam, "--steps", "100",
@@ -630,6 +630,15 @@ class TestConfigAndErrors:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 1.0 - summary["final_fidelity"] <= 1e-15
         assert summary["max_norm_drift"] <= 1e-15
+
+    def test_winding_beyond_phase_precision(self, tmp_path, capsys):
+        # kappa(tf) = 1e300*pi is finite, but its ulp is about 6e284 rad
+        code = main(["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8",
+                     "--initial", "3", "--lambda", "1e300", "--steps", "100",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "lower --lambda" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("steps", ["-5", "0"])
     def test_design_step_count_names_the_flag(self, tmp_path, capsys, steps):

@@ -399,8 +399,6 @@ class TestEvolve:
 
 
 class TestBlockPropagation:
-    # 100 and 401 leave a partly filled last chunk; 1537 = 3*512 + 1 ends
-    # on a one-step block
     @pytest.mark.parametrize("steps", [100, 400, 401, 1537, 4000])
     @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
     def test_matches_per_step_rk4(self, name, steps):
@@ -411,6 +409,20 @@ class TestBlockPropagation:
         expected = reference_rk4(spec, psi0, t0, tf, steps)
         assert traj.states.shape == expected.shape
         assert np.max(np.abs(traj.states - expected)) <= 1e-13
+
+    # with 128-step blocks, 401 = 3*128 + 17 ends on a partly filled block
+    # and 1537 = 12*128 + 1 on a one-step block
+    @pytest.mark.parametrize("steps", [100, 401, 1537])
+    @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
+    def test_block_size_does_not_change_the_states(self, monkeypatch, name, steps):
+        spec, psi0, t0, tf = protocol_cases()[name]
+        # the design's closed form and a label-only spec's RK4
+        specs = (spec, HamiltonianSpec(spec.dimension, spec.evaluator))
+        whole = [evolve(s, psi0, t0, tf, steps=steps).states for s in specs]
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", 128)
+        for s, expected in zip(specs, whole):
+            states = evolve(s, psi0, t0, tf, steps=steps).states
+            assert states.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "name", ["single-I", "single-II", "single-II-nomw", "multi", "cavity-qed"]
@@ -447,13 +459,14 @@ class TestBlockPropagation:
             return base.evaluator(t)
 
         evolve(HamiltonianSpec(3, counting), [1.0, 0.0, 0.0], 0.0, 1.0, steps=4000)
-        assert len(shapes) <= 3 * math.ceil(4000 / BLOCK_STEPS)
+        assert len(shapes) == math.ceil(4000 / BLOCK_STEPS)
         assert sum(s[0] for s in shapes) == 3 * 4000
 
-    def test_drift_reported_at_first_offending_step(self):
+    def test_drift_reported_at_first_offending_step(self, monkeypatch):
         # H switches on in the middle of a block; the step from t = 0.29
-        # samples it at t + h/2, so the first drifting state is at t = 0.3,
-        # the time a per-step check reports
+        # samples it at t + h, so the first drifting state is at t = 0.3,
+        # the time a per-step check reports.  With 16-step blocks that state
+        # is inside the second block, with 10-step blocks the last of the third
         base = np.array(
             [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]], dtype=complex
         )
@@ -463,8 +476,11 @@ class TestBlockPropagation:
             on = (np.asarray(t) >= t_on)[..., None, None]
             return np.where(on, 80.0 * base, 0.0)
 
-        with pytest.raises(IntegrationAccuracyError, match=r"at t = 0\.3;"):
-            evolve(HamiltonianSpec(3, evaluator), [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
+        for block in (BLOCK_STEPS, 16, 10):
+            monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+            with pytest.raises(IntegrationAccuracyError, match=r"at t = 0\.3;"):
+                evolve(HamiltonianSpec(3, evaluator), [1.0, 0.0, 0.0], 0.0, 1.0,
+                       steps=100)
 
 
 SINGLE_AXIS_CASES = ["single-II-nomw", "multi", "cavity-qed"] + [

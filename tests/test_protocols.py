@@ -394,12 +394,13 @@ class TestPhased:
 
     @pytest.mark.parametrize("T", [0.5, 3.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    @pytest.mark.parametrize("kappa_f", [1e3 * math.pi, 6.1e5, 1e12, 1e300])
-    def test_any_finite_winding_is_accepted_and_exact(self, T, sign, kappa_f):
+    @pytest.mark.parametrize("kappa_f", [1e3 * math.pi, 6.1e5, 1e12, 2.0**52 - 4.0])
+    def test_representable_winding_is_accepted_and_exact(self, T, sign, kappa_f):
         # the closed form has no step-count limit: a winding that RK4 needed
         # more than 4000 steps for (lambda = 1e3 at T = 1) or could not
         # integrate at all (|kappa(tf)| > 6.1e5 at its largest step count)
-        # is designed and propagated to rounding at 100 steps
+        # is designed and propagated to rounding at 100 steps, up to just
+        # below 2**52, where ulp(kappa(tf)) is half a radian
         d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
                                           initial_state=3, tf=T,
                                           lambda_rate=sign * kappa_f / (math.pi * T)))
@@ -409,6 +410,17 @@ class TestPhased:
         error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times), axis=1))
         assert error <= 1e-15
         assert 1.0 - traj.fidelity_to(d.target_vector) <= 1e-15
+
+    @pytest.mark.parametrize("T", [0.5, 3.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kappa_f", [2.0**52, 1e300])
+    def test_winding_beyond_phase_precision_rejected(self, T, sign, kappa_f):
+        # from |kappa(tf)| = 2**52 on, ulp(kappa(tf)) is a radian or more, so
+        # the float kappa(tf) no longer fixes the |3> phase
+        with pytest.raises(InvalidInputError, match="kappa.*lower --lambda"):
+            design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+                                          initial_state=3, tf=T,
+                                          lambda_rate=sign * kappa_f / (math.pi * T)))
 
     @pytest.mark.parametrize("mu", [0.0, 0.6, 1.0])
     def test_winding_is_exact_where_rk4_damps(self, monkeypatch, mu):
@@ -691,3 +703,22 @@ class TestExactState:
         states = dsg.exact_state(grid)
         assert states.shape == (3, 4, 3)
         assert _same_bits(states[1, 2], dsg.exact_state(grid[1, 2]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from([(Protocol.SINGLE_MODE_I, b) for b in Branch] + [
+               (p, Branch.LEAST_ENERGY) for p in Protocol
+               if p is not Protocol.SINGLE_MODE_I]),
+           polar=st.floats(0.0, math.pi / 2), azimuth=st.floats(0.0, math.pi / 2),
+           T=st.floats(0.1, 10.0), steps=st.integers(100, 3000))
+    def test_every_protocol_and_branch_is_exact(self, case, polar, azimuth, T, steps):
+        # a nonnegative unit target, with eta = 0 where the protocol needs a
+        # two-state one
+        protocol, branch = case
+        if protocol in (Protocol.SINGLE_MODE_I, Protocol.PHASED):
+            azimuth = 0.0
+        target = TargetState(math.sin(polar) * math.cos(azimuth),
+                             math.sin(polar) * math.sin(azimuth), math.cos(polar))
+        dsg = design(ProtocolRequest(protocol, target, tf=T, branch=branch))
+        traj = run(dsg, steps=steps)
+        error = np.max(np.linalg.norm(traj.states - dsg.exact_state(traj.times), axis=1))
+        assert error <= 1e-13
