@@ -193,6 +193,9 @@ def _resolve_target(args) -> TargetState:
     for name, value in (("mu", mu), ("eta", eta), ("nu", nu)):
         if value is not None and not math.isfinite(value):
             raise InvalidInputError(f"target amplitude {name} = {value} is not finite")
+        # checked before any square is taken, which could overflow
+        if value is not None and abs(value) > 1.0 + CLI_NORM_TOL:
+            raise InvalidInputError(f"target amplitude {name} = {value} exceeds 1")
     eta = 0.0 if eta is None else eta
     if mu is None and nu is None:
         mu = 0.0

@@ -2,28 +2,24 @@
 
 The central construction is H(t) = i * sum_n |dphi_n(t)><phi_n(t)| built
 from a moving basis with analytic derivatives.  Every Hamiltonian a design
-runs, the Lambda, phased, four-level and cavity forms, is instead written
-as H(t) = sum_k c_k(t) G_k, pulse or angle-rate coefficients on constant
-generator matrices, all K of them from one callable (the ``PulseSet`` for
-the Lambda form) as shape S + (K,) for times of shape S.  The generic
-assembly ``hamiltonian_from_basis`` is the reference each form is tested
-against entrywise.
+runs, the Lambda, phased, four-level and cavity forms, is a ``Rotation``:
+one fixed axis turned by one schedule angle, optionally inside a frame
+turning with a second.  The ``Rotation`` is both the spec's evaluator and
+its source, so each design's H(t) is written once; the generic assembly
+``hamiltonian_from_basis`` is the reference each form is tested against
+entrywise.
 
 Evaluators are vectorized over time: ``spec.evaluator(t)`` with ``t`` of
 shape S returns shape S + (d, d), and a scalar ``t`` returns one (d, d)
-matrix.  Time evolution uses hbar = 1.  The closed forms below work in
-real arithmetic: A = -iG acts on x = (Re psi, Im psi) as the real 2d x 2d
-matrix [[Re A, -Im A], [Im A, Re A]], whose products with many states are
-cheaper in numpy than complex d x d ones.
+matrix.  Time evolution uses hbar = 1.
 
 Where a Lambda schedule freezes one angle, H(t) points along one fixed
 axis: H(t) = g'(t) G for a schedule cubic g and a constant Hermitian G
 with G^3 = G.  With theta constant (single-II-nomw, multi and the cavity
 mapping) g = phi and G = sin(theta) G_p + cos(theta) G_s; with phi constant
-(single-I) g = theta and G = -G_a (+G_a for phased pulses).  Such a spec
-carries a ``Rotation`` as its ``source``.  Every H(t) then commutes with
-every other, so the first Magnus term is the exact propagator,
-exp(-i a G) with a = g(t) - g(t0), and G^3 = G reduces it to
+(single-I) g = theta and G = -G_a (+G_a for phased pulses).  Every H(t)
+then commutes with every other, so the first Magnus term is the exact
+propagator, exp(-i a G) with a = g(t) - g(t0), and G^3 = G reduces it to
 I - i sin(a) G + (cos(a) - 1) G^2: ``evolve`` writes each state in closed
 form from the initial one, without stepping and without calling the
 evaluator.
@@ -37,14 +33,13 @@ The four-level drive dtheta G_theta + dphi G_phi has the same form with
 commuting generators, and so does the phased drive dtheta (cos(kappa) G_1 +
 sin(kappa) G_2) + dkappa G_3: the frame exp(-i kappa G_3) =
 diag(1, 1, e^{i kappa}) turns G_1 into cos(kappa) G_1 + sin(kappa) G_2.
-All three carry a ``Rotation`` with a ``frame`` and are propagated in
-closed form too, so every design is.
+Phased pulses on two moving angles have no such form (Omega_a = +dtheta
+does not cancel in the -G_a frame); ``lambda_hamiltonian`` rejects them.
 
-A spec whose ``source`` is None (``hamiltonian_from_basis``, phased pulses
-on two moving angles, which no design builds, or a user's own evaluator)
-is integrated with the classical fixed-step fourth-order Runge-Kutta
-scheme, the independent cross-check of the closed forms.  It is the
-textbook loop in complex arithmetic, one step at a time; only the
+A spec whose ``source`` is None (``hamiltonian_from_basis`` or a user's
+own evaluator) is integrated with the classical fixed-step fourth-order
+Runge-Kutta scheme, the independent cross-check of the closed forms.  It
+is the textbook loop in complex arithmetic, one step at a time; only the
 evaluator is called on a whole block of stage times at once.
 """
 
@@ -52,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -74,8 +68,8 @@ if TYPE_CHECKING:
 NORM_DRIFT_TOL = 1e-6
 BLOCK_STEPS = 1 << 14  # steps whose states are built together
 
-# H(t) = sum_k c_k(t) G_k for the closed-form couplings, with the pulse or
-# angle-rate coefficients c_k in the order given in each comment.
+# The axes the Rotations turn, each named by the drive or angle rate that
+# multiplies it in H(t).
 _LAMBDA_GENERATORS = np.array(
     [
         [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],  # Omega_p
@@ -98,6 +92,11 @@ _FOUR_LEVEL_GENERATORS = np.array(
 )
 
 
+def _matrix_axes(x) -> np.ndarray:
+    """A value of shape S as shape S + (1, 1), to scale (d, d) matrices."""
+    return np.asarray(x)[..., None, None]
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """H(t) = angle'(t) * generator, seen from an optional turning frame.
@@ -110,8 +109,9 @@ class Rotation:
     ``frame`` is None or a frameless ``Rotation`` (K, f), which turns with
     F(t) = exp(-i (f(t) - f.a0) K) from the start of f's schedule.  Then
     H(t) = g'(t) F(t) G F(t)^dagger + f'(t) K, and the propagator is
-    F(t) exp(-i a G) F(t0)^-1.  Compared by identity (``eq=False``): an
-    array field has no boolean ==.
+    F(t) exp(-i a G) F(t0)^-1.  Calling the rotation evaluates H: times of
+    shape S give shape S + (d, d).  Compared by identity (``eq=False``):
+    an array field has no boolean ==.
     """
 
     generator: np.ndarray
@@ -125,15 +125,28 @@ class Rotation:
                 f"a Rotation's frame must be a frameless Rotation or None, got {frame!r}"
             )
 
+    def __call__(self, t) -> np.ndarray:
+        h = _matrix_axes(self.angle.derivative(t)) * self.generator
+        frame = self.frame
+        if frame is None:
+            return h
+        # F = exp(-i b K) = I - i sin(b) K + (cos(b) - 1) K^2, b = f(t) - f.a0
+        k = frame.generator
+        b = _matrix_axes(frame.angle(t) - frame.angle.a0)
+        turn = np.eye(len(k)) - 1j * np.sin(b) * k + (np.cos(b) - 1.0) * (k @ k)
+        return (turn @ h @ np.swapaxes(turn, -1, -2).conj()
+                + _matrix_axes(frame.angle.derivative(t)) * k)
+
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """A time-dependent Hermitian matrix: dimension, evaluator and source.
 
     ``evaluator(t)`` maps times of shape S to matrices of shape S + (d, d).
-    ``source`` is None or a ``Rotation`` that the evaluator equals, its
-    frame included; ``evolve`` integrates a spec whose source is a
-    ``Rotation`` in closed form.  Wrappers that rebuild a spec as
+    ``source`` is None or the ``Rotation`` the evaluator equals, its frame
+    included; every package spec is ``HamiltonianSpec(d, rotation,
+    rotation)``.  ``evolve`` integrates a spec whose source is a
+    ``Rotation`` in closed form, so wrappers that rebuild a spec as
     (dimension, evaluator, source) keep the closed form.
     """
 
@@ -155,78 +168,6 @@ class HamiltonianSpec:
         return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())))
 
 
-@lru_cache
-def _real_form_map(d: int) -> np.ndarray:
-    """The (2d^2, 4d^2) matrix taking H's entries to the real form of -iH.
-
-    Row 2(d i + j) maps Re H_ij and row 2(d i + j) + 1 maps Im H_ij, the
-    order of a complex (d, d) matrix's float64 view.
-    """
-    r = np.zeros((d, d, 2, 2 * d, 2 * d))
-    for i in range(d):
-        for j in range(d):
-            r[i, j, 0, i, j + d] = 1.0
-            r[i, j, 0, i + d, j] = -1.0
-            r[i, j, 1, i, j] = r[i, j, 1, i + d, j + d] = 1.0
-    return r.reshape(2 * d * d, -1)
-
-
-def _real_form(h: np.ndarray) -> np.ndarray:
-    """[[Re A, -Im A], [Im A, Re A]] for A = -iH, from H of shape S + (d, d).
-
-    Re A = Im H and Im A = -Re H, so the result is [[Im H, Re H],
-    [-Re H, Im H]] of shape S + (2d, 2d), one real product of H's float64
-    view with ``_real_form_map``: strided copies into the four blocks cost
-    about three times as much.
-    """
-    shape, d = h.shape[:-2], h.shape[-1]
-    entries = np.ascontiguousarray(h, dtype=complex).view(np.float64)
-    real = entries.reshape(shape + (-1,)) @ _real_form_map(d)
-    return real.reshape(shape + (2 * d, 2 * d))
-
-
-def _linear_hamiltonian(
-    generators: np.ndarray, coefficients: Callable, source: Rotation | None = None
-) -> HamiltonianSpec:
-    """H(t) = sum_k c_k(t) * generators[k], all c_k from one callable.
-
-    ``coefficients`` maps times of shape S to real values of shape S + (K,).
-    """
-    dimension = generators.shape[-1]
-    # the coefficients are real, so H's (Re, Im) entries are one real product
-    # with the generators' own, a fraction of the cost of a complex product
-    flat = np.ascontiguousarray(generators, dtype=complex).reshape(len(generators), -1)
-    pairs = flat.view(np.float64)
-
-    def evaluator(t) -> np.ndarray:
-        return (coefficients(t) @ pairs).view(complex).reshape(
-            np.shape(t) + (dimension, dimension))
-
-    return HamiltonianSpec(dimension, evaluator, source=source)
-
-
-def _lambda_rotation(pulses: "PulseSet") -> Rotation | None:
-    """The ``Rotation`` of a Lambda drive, or None for a phased one on two angles.
-
-    H = dphi G(theta) -+ dtheta G_a with G(theta) = sin(theta) G_p +
-    cos(theta) G_s, the sign of ``PulseSet``'s Omega_a.  Constant theta:
-    the axis G(theta), the sine and cosine taken with libm as ``PulseSet``
-    takes them.  Constant phi: the axis -+G_a.  Both moving: the axis
-    G(theta_ref), theta_ref = theta.a0, in the frame turning with theta
-    about -G_a; a phased Omega_a = +dtheta does not cancel there.
-    """
-    s = pulses.schedule
-    g_p, g_s, g_a = _LAMBDA_GENERATORS
-    axis = math.sin(s.theta.a0) * g_p + math.cos(s.theta.a0) * g_s
-    if s.theta.is_constant:
-        return Rotation(axis, s.phi)
-    if s.phi.is_constant:
-        return Rotation(g_a if pulses.phased else -g_a, s.theta)
-    if pulses.phased:
-        return None
-    return Rotation(axis, s.phi, frame=Rotation(-g_a, s.theta))
-
-
 def hamiltonian_from_basis(basis: MovingBasis) -> HamiltonianSpec:
     """Generic counterdiabatic Hamiltonian i * sum_n |dphi_n><phi_n|."""
 
@@ -242,11 +183,29 @@ def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
     """Three-level Lambda coupling matrix with purely imaginary couplings.
 
     Pattern: zero diagonal, H12 = -i*Omega_p, H23 = -i*Omega_s,
-    H13 = +i*Omega_a (the Omega_a = -dtheta convention).  The spec's source
-    is its ``Rotation`` (framed when both angles move), except for phased
-    pulses on two moving angles.
+    H13 = +i*Omega_a (the Omega_a = -dtheta convention).  H = dphi G(theta)
+    -+ dtheta G_a with G(theta) = sin(theta) G_p + cos(theta) G_s, the sign
+    of ``PulseSet``'s Omega_a.  Constant theta: the axis G(theta), the sine
+    and cosine taken with libm as ``PulseSet`` takes them.  Constant phi:
+    the axis -+G_a.  Both moving: the axis G(theta_ref), theta_ref =
+    theta.a0, in the frame turning with theta about -G_a.  Phased pulses on
+    two moving angles raise ``InvalidInputError``: their Omega_a = +dtheta
+    does not cancel in that frame, and no design builds them.
     """
-    return _linear_hamiltonian(_LAMBDA_GENERATORS, pulses, _lambda_rotation(pulses))
+    s = pulses.schedule
+    g_p, g_s, g_a = _LAMBDA_GENERATORS
+    axis = math.sin(s.theta.a0) * g_p + math.cos(s.theta.a0) * g_s
+    if s.theta.is_constant:
+        rotation = Rotation(axis, s.phi)
+    elif s.phi.is_constant:
+        rotation = Rotation(g_a if pulses.phased else -g_a, s.theta)
+    elif pulses.phased:
+        raise InvalidInputError(
+            "phased Lambda pulses require a constant theta or a constant phi"
+        )
+    else:
+        rotation = Rotation(axis, s.phi, frame=Rotation(-g_a, s.theta))
+    return HamiltonianSpec(3, rotation, rotation)
 
 
 def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -259,23 +218,17 @@ def phased_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     H = dtheta G(kappa) + dkappa G_3 with G(kappa) = cos(kappa) G_1 +
     sin(kappa) G_2, and the frame F = exp(-i (kappa - kappa_ref) G_3) =
     diag(1, 1, e^{i (kappa - kappa_ref)}), kappa_ref = kappa.a0, turns
-    G(kappa_ref) into G(kappa).  So the source is the ``Rotation`` of the
+    G(kappa_ref) into G(kappa).  So the spec is the ``Rotation`` of the
     axis G(kappa_ref) by theta in the frame of G_3 turning with kappa; a
     design starts kappa at 0, where the axis is G_1.
     """
     if not (schedule.phi.is_constant and schedule.gamma.is_constant):
         raise InvalidInputError("phased Hamiltonian requires constant phi and gamma")
-
-    def rates(t) -> np.ndarray:
-        dtheta, kappa = schedule.dtheta(t), schedule.kappa(t)
-        return np.stack((dtheta * np.cos(kappa), dtheta * np.sin(kappa),
-                         schedule.dkappa(t)), axis=-1)
-
     g_1, g_2, g_3 = _PHASED_GENERATORS
     kappa_ref = schedule.kappa.a0
     axis = math.cos(kappa_ref) * g_1 + math.sin(kappa_ref) * g_2
-    return _linear_hamiltonian(_PHASED_GENERATORS, rates, Rotation(
-        axis, schedule.theta, frame=Rotation(g_3, schedule.kappa)))
+    rotation = Rotation(axis, schedule.theta, frame=Rotation(g_3, schedule.kappa))
+    return HamiltonianSpec(3, rotation, rotation)
 
 
 def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
@@ -284,18 +237,14 @@ def four_level_hamiltonian(schedule: AngleSchedule) -> HamiltonianSpec:
     With the unit-normalized four-level family this equals the generic
     construction entrywise: entries +-i*dphi and +-i*dtheta in a
     checkerboard pattern with zero diagonal.  H = dtheta G_theta +
-    dphi G_phi with commuting generators, so the source is the ``Rotation``
+    dphi G_phi with commuting generators, so the spec is the ``Rotation``
     of G_phi in the frame of G_theta.
     """
     if not schedule.is_phase_free():
         raise InvalidInputError("four-level Hamiltonian requires gamma = kappa = 0")
-
-    def rates(t) -> np.ndarray:
-        return np.stack((schedule.dtheta(t), schedule.dphi(t)), axis=-1)
-
     g_theta, g_phi = _FOUR_LEVEL_GENERATORS
-    return _linear_hamiltonian(_FOUR_LEVEL_GENERATORS, rates, Rotation(
-        g_phi, schedule.phi, frame=Rotation(g_theta, schedule.theta)))
+    rotation = Rotation(g_phi, schedule.phi, frame=Rotation(g_theta, schedule.theta))
+    return HamiltonianSpec(4, rotation, rotation)
 
 
 def cavity_qed_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
@@ -376,40 +325,44 @@ def _rk4(spec: HamiltonianSpec, t: np.ndarray, h: float, states: np.ndarray) -> 
         psi = states[k + 1] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _turn(generator: np.ndarray, a, x0: np.ndarray) -> np.ndarray:
-    """exp(-i a G) x0 for one real state x0 and angles a of any shape S.
+def _turn(generator: np.ndarray, a, psi0: np.ndarray) -> np.ndarray:
+    """exp(-i a G) psi0 for one state psi0 and angles a of any shape S.
 
-    With M the real form of -iG, each state is x0 + sin(a) M x0 +
-    2 sin^2(a/2) M^2 x0, shape S + (2d,).  The Lambda generators are
-    imaginary, so -iG is real, M is block diagonal and a real x0 stays
-    exactly real.
+    With M = -iG, each state is psi0 + sin(a) M psi0 + 2 sin^2(a/2) M^2 psi0,
+    shape S + (d,).  The two terms are combined on the float64 views of the
+    complex arrays, so every product is real times real: a promotion of
+    sin(a) to complex could flip the sign of a zero.
     """
     half = np.sin(0.5 * a)
-    m = _real_form(generator)
-    mx = m @ x0
-    return x0 + np.stack((np.sin(a), 2.0 * half * half), axis=-1) @ np.stack((mx, m @ mx))
+    m = -1j * generator
+    mpsi = m @ psi0
+    terms = np.stack((mpsi, m @ mpsi)).view(np.float64)
+    weights = np.stack((np.sin(a), 2.0 * half * half), axis=-1)
+    return psi0 + (weights @ terms).view(complex)
 
 
-def _rotate(rotation: Rotation, t: np.ndarray, t0: float, x0: np.ndarray) -> np.ndarray:
-    """The exact real states U(t, t0) psi0 at the times t, from x0 at t0.
+def _rotate(rotation: Rotation, t: np.ndarray, t0: float, psi0: np.ndarray) -> np.ndarray:
+    """The exact states U(t, t0) psi0 at the times t, from psi0 at t0.
 
     Without a frame U = exp(-i a G), a = angle(t) - angle(t0): one
-    ``_turn``, one row per time.  With a frame (K, f), x0 is first turned
+    ``_turn``, one row per time.  With a frame (K, f), psi0 is first turned
     back by F(t0) (by nothing when t0 starts f's schedule), then by a about
     G, and each row r by its own F(t) = exp(-i b K), b = f(t) - f.a0, as
-    r + sin(b) N r + 2 sin^2(b/2) N^2 r for N the real form of -iK.
+    r + sin(b) N r + 2 sin^2(b/2) N^2 r for N = -iK, again on float64 views.
     """
     frame = rotation.frame
     if frame is not None:
-        x0 = _turn(frame.generator, frame.angle.a0 - frame.angle(t0), x0)
-    x = _turn(rotation.generator, rotation.angle(t) - rotation.angle(t0), x0)
+        psi0 = _turn(frame.generator, frame.angle.a0 - frame.angle(t0), psi0)
+    psi = _turn(rotation.generator, rotation.angle(t) - rotation.angle(t0), psi0)
     if frame is None:
-        return x
+        return psi
     b = frame.angle(t) - frame.angle.a0
     half = np.sin(0.5 * b)
-    n = _real_form(frame.generator).T
-    nx = x @ n
-    return x + np.sin(b)[:, None] * nx + (2.0 * half * half)[:, None] * (nx @ n)
+    n = (-1j * frame.generator).T
+    npsi = psi @ n
+    x = (psi.view(np.float64) + np.sin(b)[:, None] * npsi.view(np.float64)
+         + (2.0 * half * half)[:, None] * (npsi @ n).view(np.float64))
+    return x.view(complex)
 
 
 def evolve(
@@ -463,7 +416,6 @@ def evolve(
     times = t0 + h * np.arange(steps + 1)
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi
-    x0 = np.concatenate([psi.real, psi.imag])
     rotation = spec.source
 
     for start in range(0, steps, BLOCK_STEPS):
@@ -474,8 +426,7 @@ def evolve(
             if rotation is None:
                 _rk4(spec, times[start:stop], h, states[start : stop + 1])
             else:
-                x = _rotate(rotation, times[start + 1 : stop + 1], t0, x0)
-                block.real, block.imag = x[:, :d], x[:, d:]
+                block[...] = _rotate(rotation, times[start + 1 : stop + 1], t0, psi)
             pairs = block.view(np.float64)
             drift = np.abs(np.sqrt(np.einsum("ij,ij->i", pairs, pairs)) - 1.0)
         bad = ~(drift <= NORM_DRIFT_TOL)

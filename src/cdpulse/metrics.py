@@ -153,7 +153,9 @@ def mode_comparison_ratio(mu: float, eta: float, nu: float | None = None):
         raise InvalidInputError(f"mu, eta and nu must be finite, got {mu}, {eta}, {nu}")
     if mu < 0.0 or eta < 0.0:
         raise InvalidInputError("mu and eta must be nonnegative")
-    if eta**2 + mu**2 > 1.0 + 1e-12:
+    # an amplitude past the tolerance is masked before it is squared, which
+    # could overflow; its square would be past the tolerance too
+    if max(mu, eta) > 1.0 + 1e-12 or eta**2 + mu**2 > 1.0 + 1e-12:
         return MASK_VALUE, MASK_VALUE
     if nu is None:
         nu = math.sqrt(max(0.0, 1.0 - mu**2 - eta**2))

@@ -10,6 +10,7 @@ a multi-mode route transports a fixed superposition of moving states from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -81,14 +82,32 @@ class TargetState:
 
     @classmethod
     def normalized(cls, mu: float, eta: float, nu: float) -> "TargetState":
-        """Rescale (mu, eta, nu) onto the unit sphere before construction."""
-        norm = math.sqrt(mu**2 + eta**2 + nu**2)
-        if norm == 0.0:
-            raise InvalidInputError("target amplitudes are all zero")
+        """Rescale (mu, eta, nu) onto the unit sphere before construction.
+
+        Amplitudes whose squares overflow, or sum to less than the smallest
+        normal float, are first divided by the largest magnitude, so only
+        all-zero amplitudes are rejected as such.
+        """
+        norm_sq = _square_sum(mu, eta, nu)
+        if norm_sq < sys.float_info.min or norm_sq == math.inf:
+            scale = max(abs(mu), abs(eta), abs(nu))
+            if scale == 0.0:
+                raise InvalidInputError("target amplitudes are all zero")
+            mu, eta, nu = mu / scale, eta / scale, nu / scale
+            norm_sq = mu**2 + eta**2 + nu**2
+        norm = math.sqrt(norm_sq)
         return cls(mu / norm, eta / norm, nu / norm)
 
     def norm_residual(self) -> float:
-        return abs(self.mu**2 + self.eta**2 + self.nu**2 - 1.0)
+        return abs(_square_sum(self.mu, self.eta, self.nu) - 1.0)
+
+
+def _square_sum(mu: float, eta: float, nu: float) -> float:
+    """mu**2 + eta**2 + nu**2, or inf where a square overflows."""
+    try:
+        return mu**2 + eta**2 + nu**2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

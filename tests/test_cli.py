@@ -551,6 +551,23 @@ class TestConfigAndErrors:
         assert code == EXIT_VALIDATION
         assert "target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--mu", "--nu", "--eta"])
+    @pytest.mark.parametrize("value", ["1e200", "-1e300", "1.5"])
+    def test_target_amplitude_above_one(self, tmp_path, capsys, flag, value):
+        # rejected before it is squared: 1e200**2 used to raise OverflowError
+        argv = ["design", "--protocol", "multi", "--out", str(tmp_path / "out")]
+        code = main(argv + [f"{flag}={value}"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"target amplitude {flag[2:]} = {float(value)} exceeds 1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_amplitude_has_no_traceback(self, tmp_path):
+        code, err = run_cli("design", "--protocol", "multi", "--mu", "1e200",
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_VALIDATION
+        assert "Traceback" not in err and "mu = 1e+200" in err
+
     @pytest.mark.parametrize("flag", ["--gamma", "--kappa"])
     @pytest.mark.parametrize("argv", [
         ["evolve", "--protocol", "phased", "--mu", "0.6", "--nu", "0.8", "--initial", "3"],

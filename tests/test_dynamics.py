@@ -112,20 +112,29 @@ def constant_phase_schedule(rng, t0=0.0, tf=1.0):
                          gamma=constant(), kappa=moving())
 
 
+def evaluator_schedules():
+    """The random schedules behind ``evaluator_specs``, in their draw order."""
+    rng = np.random.default_rng(71)
+    return {
+        "four-level": cubic_schedule(rng),
+        "phased": constant_phase_schedule(rng),
+        "from-basis": cubic_schedule(rng, phases=True),
+        "from-basis-four-level": cubic_schedule(rng),
+    }
+
+
 def evaluator_specs():
     """One spec per evaluator: Lambda, cavity, four-level, phased, from-basis."""
-    rng = np.random.default_rng(71)
+    schedules = evaluator_schedules()
     d = design_multimode(preset_targets("cavity-bell"))
     return {
         "lambda": symmetric_design().hamiltonian,
         "cavity-qed": cavity_qed_hamiltonian(d.pulses),
-        "four-level": four_level_hamiltonian(cubic_schedule(rng)),
-        "phased": phased_hamiltonian(constant_phase_schedule(rng)),
-        "from-basis": hamiltonian_from_basis(
-            build_phased_basis(cubic_schedule(rng, phases=True))
-        ),
+        "four-level": four_level_hamiltonian(schedules["four-level"]),
+        "phased": phased_hamiltonian(schedules["phased"]),
+        "from-basis": hamiltonian_from_basis(build_phased_basis(schedules["from-basis"])),
         "from-basis-four-level": hamiltonian_from_basis(
-            build_four_level_basis(cubic_schedule(rng))
+            build_four_level_basis(schedules["from-basis-four-level"])
         ),
     }
 
@@ -429,26 +438,13 @@ class TestBlockPropagation:
     )
     def test_phase_of_the_initial_state_is_carried(self, name):
         # a Lambda Hamiltonian is purely imaginary, so a real start stays
-        # real; a phased start runs through the Im psi half of the real state
+        # real; a phased start carries its phase through every product
         spec, psi0, t0, tf = protocol_cases()[name]
         phase = 0.6 + 0.8j
         real = evolve(spec, psi0, t0, tf, steps=400).states
         assert np.max(np.abs(real.imag)) == 0.0
         phased = evolve(spec, phase * psi0, t0, tf, steps=400).states
         assert np.max(np.abs(phased - phase * real)) <= 1e-15
-
-    @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
-    def test_real_form_blocks(self, name):
-        # x = (Re psi, Im psi) evolves under [[Re A, -Im A], [Im A, Re A]]
-        spec, psi0, t0, tf = protocol_cases()[name]
-        h = spec.evaluator(np.linspace(t0, tf, 257))
-        a = -1j * h
-        real = dynamics._real_form(h)
-        assert real.shape == (257, 6, 6)
-        assert np.array_equal(real[:, :3, :3], a.real)
-        assert np.array_equal(real[:, 3:, :3], a.imag)
-        assert np.array_equal(real[:, :3, 3:], -a.imag)
-        assert np.array_equal(real[:, 3:, 3:], a.real)
 
     def test_evaluator_called_once_per_stage_grid(self):
         base = symmetric_design().hamiltonian
@@ -504,27 +500,47 @@ def single_axis_case(name):
     return d, d.hamiltonian
 
 
-def package_rotations():
-    """Every kind of spec the package builds with a ``Rotation`` source."""
-    specs = {name: single_axis_case(name)[1] for name in SINGLE_AXIS_CASES}
+def package_rotation_cases():
+    """Every kind of spec the package builds, with the basis it transports.
+
+    Lambda and cavity specs move the three-real basis, phased ones the
+    phased basis and the four-level spec the four-level basis.
+    """
+    cases = {}
+    for name in SINGLE_AXIS_CASES:
+        d, spec = single_axis_case(name)
+        cases[name] = spec, build_three_real_basis(d.schedule)
     phased = design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
                                     tf=2.0, lambda_rate=0.7))
-    # a phased pulse set has Omega_a = +dtheta and a frozen phi
-    specs["phased-pulses"] = lambda_hamiltonian(phased.pulses)
+    # a phased pulse set has Omega_a = +dtheta and a frozen phi; it reads
+    # theta and phi alone, so its basis keeps gamma = kappa = 0
+    s = phased.schedule
+    cases["phased-pulses"] = lambda_hamiltonian(phased.pulses), build_phased_basis(
+        AngleSchedule(s.t0, s.tf, theta=s.theta, phi=s.phi))
     # theta by a fixed axis in the frame turning with kappa about |3>
-    specs["phased"] = phased.hamiltonian
-    specs["phased-constant-phases"] = evaluator_specs()["phased"]
+    cases["phased"] = phased.hamiltonian, build_phased_basis(s)
+    cases["phased-constant-phases"] = (
+        evaluator_specs()["phased"], build_phased_basis(evaluator_schedules()["phased"]))
     # theta stays at pi/2 and phi at 0: no angle moves
-    specs["single-II-identity"] = design(ProtocolRequest(
-        Protocol.SINGLE_MODE_II, TargetState(1.0, 0.0, 0.0))).hamiltonian
+    identity = design(ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(1.0, 0.0, 0.0)))
+    cases["single-II-identity"] = identity.hamiltonian, build_three_real_basis(
+        identity.schedule)
     # both angles move: a fixed axis inside a turning frame
     for name in FRAMED_CASES:
-        specs[name] = framed_case(name).hamiltonian
+        d = framed_case(name)
+        cases[name] = d.hamiltonian, build_three_real_basis(d.schedule)
     rng = np.random.default_rng(73)
-    specs["lambda-random"] = lambda_hamiltonian(
-        PulseSet(cubic_schedule(rng, -0.4, 1.3)))
-    specs["four-level"] = four_level_hamiltonian(cubic_schedule(rng, -0.4, 1.3))
-    return specs
+    schedule = cubic_schedule(rng, -0.4, 1.3)
+    cases["lambda-random"] = (lambda_hamiltonian(PulseSet(schedule)),
+                              build_three_real_basis(schedule))
+    schedule = cubic_schedule(rng, -0.4, 1.3)
+    cases["four-level"] = four_level_hamiltonian(schedule), build_four_level_basis(schedule)
+    return cases
+
+
+def package_rotations():
+    """Every kind of spec the package builds with a ``Rotation`` source."""
+    return {name: spec for name, (spec, _) in package_rotation_cases().items()}
 
 
 # single-II moves both angles; mu = 0 ends theta at 0, eta near 1 ends phi
@@ -611,13 +627,25 @@ class TestSingleAxis:
         ulp = np.spacing(np.max(np.abs(h), axis=(-2, -1)))
         assert np.all(np.max(np.abs(h - expected), axis=(-2, -1)) <= 4 * ulp)
 
+    @pytest.mark.parametrize("name", sorted(package_rotations()))
+    def test_rotation_matches_generic_construction(self, name):
+        # the Rotation is the evaluator, so it answers to the paper's
+        # i * sum_n |dphi_n><phi_n| of the basis the spec transports
+        spec, basis = package_rotation_cases()[name]
+        assert spec.evaluator is spec.source
+        times = np.linspace(basis.schedule.t0, basis.schedule.tf, 1001)
+        generic = hamiltonian_from_basis(basis).evaluator(times)
+        assert np.max(np.abs(spec.evaluator(times) - generic)) <= 1e-12
+
     def test_moving_angles_carry_no_source(self):
-        # phased pulses on two moving angles, which no design builds, still
-        # step RK4: Omega_a = +dtheta does not cancel in the frame; so do
-        # the generic assemblies
+        # phased pulses on two moving angles, which no design builds, have
+        # no closed form: Omega_a = +dtheta does not cancel in the frame, so
+        # they are refused; the generic assemblies carry no source and step
+        # RK4
         theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
         schedule = AngleSchedule(0.0, 1.0, theta=theta, phi=theta)
-        assert lambda_hamiltonian(PulseSet(schedule, phased=True)).source is None
+        with pytest.raises(InvalidInputError, match="phased"):
+            lambda_hamiltonian(PulseSet(schedule, phased=True))
         for name in ("from-basis", "from-basis-four-level"):
             assert evaluator_specs()[name].source is None
 

@@ -135,6 +135,20 @@ class TestModeComparisonRatio:
         with pytest.raises(InvalidInputError):
             mode_comparison_ratio(-0.1, 0.5)
 
+    @pytest.mark.parametrize("args", [(1e200, 0.0), (0.0, 1e200), (1e200, 1e200, 0.5),
+                                      (1.0 + 2e-12, 0.0)])
+    def test_amplitude_above_one_masked_before_squaring(self, args):
+        assert mode_comparison_ratio(*args) == (0.0, 0.0)
+
+    def test_amplitude_within_tolerance_is_not_masked(self):
+        # the square is within the mask's 1e-12, as before the amplitude check
+        assert mode_comparison_ratio(1.0 + 4e-13, 0.0) == (0.5, 0.25)
+
+    def test_overflowing_nu_is_renormalized(self):
+        # nu dwarfs mu and eta, so the target is |3> up to rounding
+        omega, energy = mode_comparison_ratio(0.3, 0.4, 1e200)
+        assert (omega, energy) == mode_comparison_ratio(0.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("slot", range(3))
     def test_non_finite_rejected(self, bad, slot):

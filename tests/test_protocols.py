@@ -76,6 +76,39 @@ class TestTargetState:
         with pytest.raises(InvalidInputError):
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0), tf=0.0)
 
+    @pytest.mark.parametrize("values", [(1e200, 0.0, 0.0), (0.0, -1e300, 0.6),
+                                        (0.6, 0.0, 1e155)])
+    def test_overflowing_square_rejected(self, values):
+        # a square past the float range is an input error, not an OverflowError
+        with pytest.raises(InvalidInputError, match="residual inf"):
+            TargetState(*values)
+
+    @pytest.mark.parametrize("values, expected", [
+        ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, -1e300, 0.0), (0.0, -1.0, 0.0)),
+        ((1e200, 1e200, 0.0), (SQ2, SQ2, 0.0)),
+        ((1.7e308, 0.0, 1.7e308), (SQ2, 0.0, SQ2)),
+        ((0.0, 0.0, 1.1e-308), (0.0, 0.0, 1.0)),
+        ((5e-324, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1e-160, 0.0, 1e-160), (SQ2, 0.0, SQ2)),
+    ])
+    def test_normalized_out_of_square_range(self, values, expected):
+        # squares that overflow or underflow are rescaled first, so the
+        # direction survives; e.g. 1.1e-308 points at |3>, not "all zero"
+        target = TargetState.normalized(*values)
+        assert (target.mu, target.eta, target.nu) == pytest.approx(expected, abs=1e-15)
+        assert target.norm_residual() <= 1e-15
+
+    def test_normalized_in_range_keeps_its_bits(self):
+        # in-range amplitudes keep the plain sqrt(mu**2 + eta**2 + nu**2)
+        rng = np.random.default_rng(89)
+        for mu, eta, nu in rng.uniform(-1.0, 1.0, size=(500, 3)) * 10.0 ** rng.integers(
+                -100, 100, size=(500, 1)):
+            mu, eta, nu = float(mu), float(eta), float(nu)
+            norm = math.sqrt(mu**2 + eta**2 + nu**2)
+            target = TargetState.normalized(mu, eta, nu)
+            assert (target.mu, target.eta, target.nu) == (mu / norm, eta / norm, nu / norm)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_lambda_rate(self, rate):
         with pytest.raises(InvalidInputError, match="lambda_rate"):
