@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -70,6 +71,13 @@ SURFACE_HEADER = ["mu", "eta", "omega_ratio", "energy_ratio"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents, so "--mu -6e-1" would
+        # read "-6e-1" as an option; subparsers are built by this class too
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
 
@@ -270,11 +278,10 @@ def _trajectory_columns(dsg: Design, traj: Trajectory):
     header.append("norm")
     cols.append(np.sqrt(np.sum(pops, axis=1)))  # traj.norms, from pops
     if dsg.protocol is Protocol.PHASED:
-        extraction = extract_theta_kappa(traj)
+        theta_prime, kappa_prime = extract_theta_kappa(traj)
         bloch = bloch_coordinates(traj)
         header += ["theta_prime", "kappa_prime", "bloch_x", "bloch_y", "bloch_z"]
-        cols += [extraction.theta_prime, extraction.kappa_prime,
-                 bloch[:, 0], bloch[:, 1], bloch[:, 2]]
+        cols += [theta_prime, kappa_prime, bloch[:, 0], bloch[:, 1], bloch[:, 2]]
     return header, cols
 
 

@@ -35,12 +35,6 @@ sin(kappa) G_2) + dkappa G_3: the frame exp(-i kappa G_3) =
 diag(1, 1, e^{i kappa}) turns G_1 into cos(kappa) G_1 + sin(kappa) G_2.
 Phased pulses on two moving angles have no such form (Omega_a = +dtheta
 does not cancel in the -G_a frame); ``lambda_hamiltonian`` rejects them.
-
-A spec whose ``source`` is None (``hamiltonian_from_basis`` or a user's
-own evaluator) is integrated with the classical fixed-step fourth-order
-Runge-Kutta scheme, the independent cross-check of the closed forms.  It
-is the textbook loop in complex arithmetic, one step at a time; only the
-evaluator is called on a whole block of stage times at once.
 """
 
 from __future__ import annotations
@@ -143,21 +137,25 @@ class HamiltonianSpec:
     """A time-dependent Hermitian matrix: dimension, evaluator and source.
 
     ``evaluator(t)`` maps times of shape S to matrices of shape S + (d, d).
-    ``source`` is None or the ``Rotation`` the evaluator equals, its frame
-    included; every package spec is ``HamiltonianSpec(d, rotation,
-    rotation)``.  ``evolve`` integrates a spec whose source is a
-    ``Rotation`` in closed form, so wrappers that rebuild a spec as
-    (dimension, evaluator, source) keep the closed form.
+    ``source`` is the ``Rotation`` the evaluator equals, its frame included,
+    and acts on ``dimension`` levels; every package spec is
+    ``HamiltonianSpec(d, rotation, rotation)``.  ``evolve`` propagates the
+    source in closed form and never calls the evaluator, so wrappers that
+    rebuild a spec as (dimension, evaluator, source) time no evaluation.
     """
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
-    source: Rotation | None = None
+    source: Rotation
 
     def __post_init__(self) -> None:
-        if not (self.source is None or isinstance(self.source, Rotation)):
+        source = self.source
+        if not isinstance(source, Rotation):
+            raise InvalidInputError(f"spec source must be a Rotation, got {source!r}")
+        if self.dimension != len(source.generator):
             raise InvalidInputError(
-                f"spec source must be a Rotation or None, got {self.source!r}"
+                f"spec dimension {self.dimension} does not match its source's "
+                f"{len(source.generator)}-level generator"
             )
 
     def __call__(self, t) -> np.ndarray:
@@ -168,15 +166,20 @@ class HamiltonianSpec:
         return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())))
 
 
-def hamiltonian_from_basis(basis: MovingBasis) -> HamiltonianSpec:
-    """Generic counterdiabatic Hamiltonian i * sum_n |dphi_n><phi_n|."""
+def hamiltonian_from_basis(basis: MovingBasis) -> Callable[[np.ndarray], np.ndarray]:
+    """Generic counterdiabatic Hamiltonian i * sum_n |dphi_n><phi_n|.
+
+    Returns the evaluator: times of shape S give matrices of shape
+    S + (d, d).  No ``evolve`` path runs it; it is the reference every
+    ``Rotation`` is tested against.
+    """
 
     def evaluator(t) -> np.ndarray:
         b = basis.vectors(t)
         db = basis.vector_derivatives(t)
         return 1j * (np.swapaxes(db, -1, -2) @ b.conj())
 
-    return HamiltonianSpec(basis.dimension, evaluator)
+    return evaluator
 
 
 def lambda_hamiltonian(pulses: "PulseSet") -> HamiltonianSpec:
@@ -307,24 +310,6 @@ def max_steps(dimension: int) -> int:
     return MAX_ARRAY_BYTES // _step_bytes(dimension) - 1
 
 
-def _rk4(spec: HamiltonianSpec, t: np.ndarray, h: float, states: np.ndarray) -> None:
-    """Classical RK4 steps from the times t: states[k + 1] from states[k].
-
-    The evaluator is called once, on the stage grids t, t + h/2 and t + h
-    joined, and each step is the textbook update with A = -iH.
-    """
-    n, d = len(t), spec.dimension
-    h_stages = spec.evaluator(np.concatenate((t, t + 0.5 * h, t + h)))
-    a1, a2, a4 = -1j * h_stages.reshape(3, n, d, d)
-    psi = states[0]
-    for k in range(n):
-        k1 = a1[k] @ psi
-        k2 = a2[k] @ (psi + 0.5 * h * k1)
-        k3 = a2[k] @ (psi + 0.5 * h * k2)
-        k4 = a4[k] @ (psi + h * k3)
-        psi = states[k + 1] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _turn(generator: np.ndarray, a, psi0: np.ndarray) -> np.ndarray:
     """exp(-i a G) psi0 for one state psi0 and angles a of any shape S.
 
@@ -374,28 +359,18 @@ def evolve(
 ) -> Trajectory:
     """Integrate i d/dt psi = H(t) psi on the grid t0 + k (tf - t0)/steps.
 
-    The states are built block by block of up to BLOCK_STEPS steps, which
-    bounds each block's temporaries to a few MB.
-
-    A spec whose source is a ``Rotation``, as every design's is, is
-    propagated exactly: each state is exp(-i a G) psi0 with
-    a = angle(t_k) - angle(t0), inside F(t_k) ... F(t0)^-1 when the
+    The spec's source is propagated exactly: each state is exp(-i a G) psi0
+    with a = angle(t_k) - angle(t0), inside F(t_k) ... F(t0)^-1 when the
     rotation has a frame F, written in closed form from psi0 (``_rotate``).
     The evolve ``t0`` need not start the schedule.  The evaluator is never
-    called and nothing accumulates from step to step; the step count sets
-    only the output grid.
+    called and nothing accumulates from step to step, so the step count
+    sets only the output grid.  The states are built block by block of up
+    to BLOCK_STEPS steps, which bounds each block's temporaries to a few MB.
 
-    A spec without a source is integrated with fixed-step classical RK4.
-    For each block, A = -iH is evaluated once on the stage grids t_k,
-    t_k + h/2 and t_k + h joined, and each step is
-
-        k1 = A1 psi,  k2 = A2 (psi + h/2 k1),  k3 = A2 (psi + h/2 k2),
-        k4 = A4 (psi + h k3),  psi += h/6 (k1 + 2 k2 + 2 k3 + k4).
-
-    No per-step renormalization is applied on either path; a norm drift
-    beyond 1e-6 (or a non-finite state) raises IntegrationAccuracyError
-    naming the first drifting step (use more steps).  ``steps`` must be an
-    integer (a numpy one will do) of at least 100.
+    A norm drift beyond 1e-6 raises IntegrationAccuracyError naming the
+    first drifting state: the angles went non-finite, or a generator is
+    not Hermitian with G^3 = G.  More steps cannot help.  ``steps`` must be
+    an integer (a numpy one will do) of at least 100.
     """
     if not isinstance(steps, (int, np.integer)):
         raise InvalidInputError(f"steps must be an integer, got {steps!r}")
@@ -416,44 +391,32 @@ def evolve(
     times = t0 + h * np.arange(steps + 1)
     states = np.empty((steps + 1, d), dtype=complex)
     states[0] = psi
-    rotation = spec.source
 
     for start in range(0, steps, BLOCK_STEPS):
         stop = min(start + BLOCK_STEPS, steps)
         block = states[start + 1 : stop + 1]
         # overflow and NaN are left to the norm check at the end of the block
         with np.errstate(over="ignore", invalid="ignore"):
-            if rotation is None:
-                _rk4(spec, times[start:stop], h, states[start : stop + 1])
-            else:
-                block[...] = _rotate(rotation, times[start + 1 : stop + 1], t0, psi)
+            block[...] = _rotate(spec.source, times[start + 1 : stop + 1], t0, psi)
             pairs = block.view(np.float64)
             drift = np.abs(np.sqrt(np.einsum("ij,ij->i", pairs, pairs)) - 1.0)
         bad = ~(drift <= NORM_DRIFT_TOL)
         if bad.any():
             first = int(np.argmax(bad))
             raise IntegrationAccuracyError(
-                f"norm drift {drift[first]:.3e} at t = {times[start + 1 + first]:.6g}; "
-                f"increase the step count (currently {steps})"
+                f"norm drift {drift[first]:.3e} at t = {times[start + 1 + first]:.6g}"
             )
 
     return Trajectory(times=times, states=states)
 
 
-@dataclass(frozen=True)
-class PhaseExtraction:
-    """Mixing angle and |3>-phase read off a two-state trajectory.
+def extract_theta_kappa(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(theta', kappa') read off a two-state trajectory.
 
-    ``kappa_prime`` is the continuously unwrapped principal argument of
-    <3|psi>; samples where |<3|psi>| < 1e-12 are reported as NaN gaps.
+    theta' = arcsin|<1|psi>|, and kappa' is the continuously unwrapped
+    principal argument of <3|psi>; samples where |<3|psi>| < 1e-12 are
+    reported as NaN gaps.
     """
-
-    theta_prime: np.ndarray
-    kappa_prime: np.ndarray
-
-
-def extract_theta_kappa(traj: Trajectory) -> PhaseExtraction:
-    """Extract theta' = arcsin|<1|psi>| and the unwrapped phase of <3|psi>."""
     if traj.dimension != 3:
         raise InvalidInputError("phase extraction requires a 3-level trajectory")
     a1 = traj.states[:, 0]
@@ -466,7 +429,7 @@ def extract_theta_kappa(traj: Trajectory) -> PhaseExtraction:
     if raw.size:
         # continuity-based 2*pi correction across valid samples
         kappa_prime[valid] = np.unwrap(raw)
-    return PhaseExtraction(theta_prime=theta_prime, kappa_prime=kappa_prime)
+    return theta_prime, kappa_prime
 
 
 def bloch_coordinates(traj: Trajectory) -> np.ndarray:

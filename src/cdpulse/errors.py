@@ -30,7 +30,7 @@ class BoundarySolveError(CdpulseError):
 
 
 class IntegrationAccuracyError(CdpulseError):
-    """Norm drift during integration exceeded tolerance; increase the step count."""
+    """A propagated state's norm drifted beyond tolerance: a non-finite rotation."""
 
 
 class RegimeError(CdpulseError):

@@ -11,8 +11,9 @@ import pytest
 
 from cdpulse import cli
 from cdpulse.cli import EXIT_ACCURACY, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from cdpulse.dynamics import HamiltonianSpec
 from cdpulse.protocols import Design
+from cdpulse.schedules import CubicPolynomial
+from test_dynamics import rotation_spec
 
 
 def read_csv(path):
@@ -419,6 +420,28 @@ class TestConfigAndErrors:
             flag = (tmp_path / "flag" / name).read_bytes()
             assert (tmp_path / "file" / name).read_bytes() == flag
 
+    def test_negative_exponent_flag_value(self, tmp_path):
+        # '--mu -6e-1' is a value, as '--mu=-0.6' is
+        argv = ["design", "--protocol", "single-I", "--steps", "100", "--out"]
+        assert main(argv + [str(tmp_path / "exp"), "--mu", "-6e-1", "--nu", "8e-1"]) == EXIT_OK
+        assert main(argv + [str(tmp_path / "eq"), "--mu=-0.6", "--nu=0.8"]) == EXIT_OK
+        for name in ("design.json", "pulses.csv"):
+            eq = (tmp_path / "eq" / name).read_bytes()
+            assert (tmp_path / "exp" / name).read_bytes() == eq
+
+    def test_negative_exponent_reaches_validation(self, tmp_path, capsys):
+        code = main(["design", "--protocol", "single-I", "--mu", "0.6", "--nu", "-1e-3",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "normalized" in capsys.readouterr().err
+
+    def test_stray_negative_number_is_usage_error(self, tmp_path, capsys):
+        code = main(["design", "--protocol", "single-I", "--mu", "0.6", "--nu", "0.8",
+                     "-1e3", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "-1e3" in capsys.readouterr().err
+        assert not (tmp_path / "pulses.csv").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("protocol = single-I\nnu = 0.70710678\nstepz = 7\n")
@@ -593,15 +616,19 @@ class TestConfigAndErrors:
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_VALIDATION
         assert "too large" in capsys.readouterr().err
 
-    def test_non_finite_hamiltonian_is_accuracy_error(self, tmp_path, monkeypatch):
-        nan_spec = HamiltonianSpec(
-            3, lambda t: np.full(np.shape(t) + (3, 3), np.nan)
-        )
+    def test_non_finite_hamiltonian_is_accuracy_error(self, tmp_path, monkeypatch,
+                                                      capsys):
+        # a NaN angle: the closed form writes NaN states, and more steps
+        # would not help, so the message gives no step count
+        nan_spec = rotation_spec(CubicPolynomial(np.nan, 0.0, 0.0, 0.0, 0.0, 1.0))
         monkeypatch.setattr(Design, "hamiltonian", property(lambda self: nan_spec))
         code = main(
             ["evolve", "--protocol", "single-I", "--nu", "1.0", "--out", str(tmp_path)]
         )
         assert code == EXIT_ACCURACY
+        err = capsys.readouterr().err
+        assert "norm drift" in err
+        assert "step" not in err
 
     @pytest.mark.parametrize(
         "argv",

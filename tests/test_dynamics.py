@@ -34,7 +34,7 @@ from cdpulse import (
 )
 from cdpulse import dynamics, errors
 from cdpulse.basis import MovingBasis
-from cdpulse.dynamics import BLOCK_STEPS, Rotation, max_steps
+from cdpulse.dynamics import Rotation, max_steps
 from cdpulse.protocols import PulseSet
 from cdpulse.errors import (
     IntegrationAccuracyError,
@@ -54,22 +54,23 @@ def symmetric_design():
     )
 
 
-def reference_rk4(spec, psi0, t0, tf, steps):
-    """The classical RK4 loop, one scalar H(t) per stage (test oracle)."""
+def reference_rk4(hamiltonian, psi0, t0, tf, steps):
+    """The classical RK4 loop (test oracle): states on t0 + k (tf - t0)/steps.
+
+    ``hamiltonian`` is any evaluator, a spec or ``hamiltonian_from_basis``'s.
+    It is called once, on the stage times t_k, t_k + h/2 and t_k + h; each
+    step is the textbook update with A = -iH, and nothing is renormalized.
+    """
     h = (tf - t0) / steps
-    times = t0 + h * np.arange(steps + 1)
+    t = t0 + h * np.arange(steps)
+    a1, a2, a4 = -1j * hamiltonian(np.stack((t, t + 0.5 * h, t + h)))
     psi = np.asarray(psi0, dtype=complex)
     states = [psi]
-
-    def rhs(t, y):
-        return -1j * (spec.evaluator(t) @ y)
-
     for k in range(steps):
-        t = times[k]
-        k1 = rhs(t, psi)
-        k2 = rhs(t + 0.5 * h, psi + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, psi + 0.5 * h * k2)
-        k4 = rhs(t + h, psi + h * k3)
+        k1 = a1[k] @ psi
+        k2 = a2[k] @ (psi + 0.5 * h * k1)
+        k3 = a2[k] @ (psi + 0.5 * h * k2)
+        k4 = a4[k] @ (psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(psi)
     return np.array(states)
@@ -123,8 +124,25 @@ def evaluator_schedules():
     }
 
 
+def hermiticity_defect(h):
+    """Largest entry of H - H^dagger over matrices of shape S + (d, d)."""
+    return float(np.max(np.abs(h - np.swapaxes(h, -1, -2).conj())))
+
+
+def rotation_spec(angle, dimension=3):
+    """The spec of H(t) = angle'(t) G, G coupling levels 1 and 2 (G12 = -i)."""
+    generator = np.zeros((dimension, dimension), dtype=complex)
+    generator[0, 1], generator[1, 0] = -1j, 1j
+    rotation = Rotation(generator, angle)
+    return HamiltonianSpec(dimension, rotation, rotation)
+
+
+STILL = CubicPolynomial(0.0, 0.0, 0.0, 0.0, 0.0, 1.0)  # a zero cubic: H = 0
+
+
 def evaluator_specs():
-    """One spec per evaluator: Lambda, cavity, four-level, phased, from-basis."""
+    """One evaluator each: the Lambda, cavity, four-level and phased specs,
+    and the generic from-basis assemblies."""
     schedules = evaluator_schedules()
     d = design_multimode(preset_targets("cavity-bell"))
     return {
@@ -170,7 +188,7 @@ class TestHamiltonianAssembly:
         spec = hamiltonian_from_basis(build_phased_basis(sched))
         for t in rng.uniform(0.0, 1.0, size=50):
             h = spec(t)
-            assert spec.hermiticity_defect(t) <= 1e-12
+            assert hermiticity_defect(h) <= 1e-12
             assert h[0, 0] == pytest.approx(0.0, abs=1e-12)
             assert h[1, 1] == pytest.approx(-float(sched.dgamma(t)), abs=1e-12)
             assert h[2, 2] == pytest.approx(-float(sched.dkappa(t)), abs=1e-12)
@@ -218,7 +236,7 @@ class TestHamiltonianAssembly:
         ]
         for spec in specs:
             for t in rng.uniform(0.0, 1.0, size=334):
-                assert spec.hermiticity_defect(t) <= 1e-12
+                assert hermiticity_defect(spec(t)) <= 1e-12
 
 
 class TestPhasedClosedForm:
@@ -270,16 +288,16 @@ class TestVectorizedEvaluators:
          "from-basis-four-level"],
     )
     def test_time_grid_matches_scalar_calls(self, name):
-        spec = evaluator_specs()[name]
-        d = spec.dimension
+        evaluator = evaluator_specs()[name]
+        d = 4 if name.endswith("four-level") else 3
         times = np.random.default_rng(73).uniform(0.0, 1.0, size=257)
-        batch = spec.evaluator(times)
+        batch = evaluator(times)
         assert batch.shape == (times.size, d, d)
-        scalar = np.array([spec.evaluator(t) for t in times])
+        scalar = np.array([evaluator(t) for t in times])
         assert np.max(np.abs(batch - scalar)) <= 1e-15
-        assert spec.evaluator(times.reshape(257, 1)).shape == (257, 1, d, d)
-        assert spec.evaluator(0.5).shape == (d, d)
-        assert spec.hermiticity_defect(times) <= 1e-12
+        assert evaluator(times.reshape(257, 1)).shape == (257, 1, d, d)
+        assert evaluator(0.5).shape == (d, d)
+        assert hermiticity_defect(batch) <= 1e-12
 
 
 class TestCavityQed:
@@ -338,11 +356,8 @@ class TestCavityQed:
 
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
-        spec = HamiltonianSpec(
-            3, lambda t: np.zeros(np.shape(t) + (3, 3), dtype=complex)
-        )
         psi0 = np.array([0.6, 0.8j, 0.0])
-        traj = evolve(spec, psi0, 0.0, 1.0, steps=100)
+        traj = evolve(rotation_spec(STILL), psi0, 0.0, 1.0, steps=100)
         assert np.max(np.abs(traj.states - psi0)) <= 1e-15
 
     def test_norm_conserved(self):
@@ -362,35 +377,26 @@ class TestEvolve:
             assert overlap >= 1.0 - 1e-8
 
     def test_fourth_order_convergence(self):
+        # the reference RK4 on the design's Hamiltonian, which evolve
+        # propagates exactly
         d = symmetric_design()
-        # a label-only spec steps RK4, although the design's own is exact
-        spec = HamiltonianSpec(3, d.hamiltonian.evaluator)
-        ref = evolve(spec, d.initial_state, 0.0, 1.0, steps=3200).final_state
+        ref = reference_rk4(d.hamiltonian, d.initial_state, 0.0, 1.0, 3200)[-1]
         e = {}
         for steps in (100, 200):
-            final = evolve(spec, d.initial_state, 0.0, 1.0, steps=steps)
-            e[steps] = np.linalg.norm(final.final_state - ref)
+            final = reference_rk4(d.hamiltonian, d.initial_state, 0.0, 1.0, steps)[-1]
+            e[steps] = np.linalg.norm(final - ref)
         ratio = e[100] / e[200]
         assert 12.0 <= ratio <= 20.0
 
-    def test_drift_raises(self):
-        base = np.array(
-            [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]], dtype=complex
-        )
-        spec = HamiltonianSpec(
-            3, lambda t: np.broadcast_to(80.0 * base, np.shape(t) + (3, 3))
-        )
-        with pytest.raises(IntegrationAccuracyError):
-            evolve(spec, [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_hamiltonian_raises(self, value):
-        spec = HamiltonianSpec(3, lambda t: np.full(np.shape(t) + (3, 3), value))
-        with pytest.raises(IntegrationAccuracyError):
+        # H = value * G: the angle value * t is non-finite from the start
+        spec = rotation_spec(CubicPolynomial(0.0, value, 0.0, 0.0, 0.0, 1.0))
+        with pytest.raises(IntegrationAccuracyError, match="norm drift"):
             evolve(spec, [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
 
     def test_input_validation(self):
-        spec = HamiltonianSpec(3, lambda t: np.zeros((3, 3), dtype=complex))
+        spec = rotation_spec(STILL)
         with pytest.raises(InvalidInputError):
             evolve(spec, [1.0, 0.0, 0.0], 0.0, 1.0, steps=50)
         with pytest.raises(InvalidInputError):
@@ -408,30 +414,16 @@ class TestEvolve:
 
 
 class TestBlockPropagation:
-    @pytest.mark.parametrize("steps", [100, 400, 401, 1537, 4000])
-    @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
-    def test_matches_per_step_rk4(self, name, steps):
-        spec, psi0, t0, tf = protocol_cases()[name]
-        # a label-only spec always steps RK4, also for a single-axis design
-        spec = HamiltonianSpec(spec.dimension, spec.evaluator)
-        traj = evolve(spec, psi0, t0, tf, steps=steps)
-        expected = reference_rk4(spec, psi0, t0, tf, steps)
-        assert traj.states.shape == expected.shape
-        assert np.max(np.abs(traj.states - expected)) <= 1e-13
-
     # with 128-step blocks, 401 = 3*128 + 17 ends on a partly filled block
     # and 1537 = 12*128 + 1 on a one-step block
     @pytest.mark.parametrize("steps", [100, 401, 1537])
     @pytest.mark.parametrize("name", [p.value for p in Protocol] + ["cavity-qed"])
     def test_block_size_does_not_change_the_states(self, monkeypatch, name, steps):
         spec, psi0, t0, tf = protocol_cases()[name]
-        # the design's closed form and a label-only spec's RK4
-        specs = (spec, HamiltonianSpec(spec.dimension, spec.evaluator))
-        whole = [evolve(s, psi0, t0, tf, steps=steps).states for s in specs]
+        whole = evolve(spec, psi0, t0, tf, steps=steps).states
         monkeypatch.setattr(dynamics, "BLOCK_STEPS", 128)
-        for s, expected in zip(specs, whole):
-            states = evolve(s, psi0, t0, tf, steps=steps).states
-            assert states.tobytes() == expected.tobytes()
+        states = evolve(spec, psi0, t0, tf, steps=steps).states
+        assert states.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize(
         "name", ["single-I", "single-II", "single-II-nomw", "multi", "cavity-qed"]
@@ -446,37 +438,19 @@ class TestBlockPropagation:
         phased = evolve(spec, phase * psi0, t0, tf, steps=400).states
         assert np.max(np.abs(phased - phase * real)) <= 1e-15
 
-    def test_evaluator_called_once_per_stage_grid(self):
-        base = symmetric_design().hamiltonian
-        shapes = []
-
-        def counting(t):
-            shapes.append(np.shape(t))
-            return base.evaluator(t)
-
-        evolve(HamiltonianSpec(3, counting), [1.0, 0.0, 0.0], 0.0, 1.0, steps=4000)
-        assert len(shapes) == math.ceil(4000 / BLOCK_STEPS)
-        assert sum(s[0] for s in shapes) == 3 * 4000
-
     def test_drift_reported_at_first_offending_step(self, monkeypatch):
-        # H switches on in the middle of a block; the step from t = 0.29
-        # samples it at t + h, so the first drifting state is at t = 0.3,
-        # the time a per-step check reports.  With 16-step blocks that state
-        # is inside the second block, with 10-step blocks the last of the third
-        base = np.array(
-            [[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]], dtype=complex
-        )
-        t_on = 0.3
+        # the angle turns NaN at t = 0.3, in the middle of a block, so the
+        # first non-finite state is there, the time a per-step check
+        # reports.  With 16-step blocks that state is inside the second
+        # block, with 10-step blocks the last of the third
+        class Angle:
+            def __call__(self, t):
+                return np.where(np.asarray(t) >= 0.3, np.nan, 0.0)
 
-        def evaluator(t):
-            on = (np.asarray(t) >= t_on)[..., None, None]
-            return np.where(on, 80.0 * base, 0.0)
-
-        for block in (BLOCK_STEPS, 16, 10):
+        for block in (dynamics.BLOCK_STEPS, 16, 10):
             monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
-            with pytest.raises(IntegrationAccuracyError, match=r"at t = 0\.3;"):
-                evolve(HamiltonianSpec(3, evaluator), [1.0, 0.0, 0.0], 0.0, 1.0,
-                       steps=100)
+            with pytest.raises(IntegrationAccuracyError, match=r"at t = 0\.3$"):
+                evolve(rotation_spec(Angle()), [1.0, 0.0, 0.0], 0.0, 1.0, steps=100)
 
 
 SINGLE_AXIS_CASES = ["single-II-nomw", "multi", "cavity-qed"] + [
@@ -634,20 +608,20 @@ class TestSingleAxis:
         spec, basis = package_rotation_cases()[name]
         assert spec.evaluator is spec.source
         times = np.linspace(basis.schedule.t0, basis.schedule.tf, 1001)
-        generic = hamiltonian_from_basis(basis).evaluator(times)
+        generic = hamiltonian_from_basis(basis)(times)
         assert np.max(np.abs(spec.evaluator(times) - generic)) <= 1e-12
 
     def test_moving_angles_carry_no_source(self):
         # phased pulses on two moving angles, which no design builds, have
         # no closed form: Omega_a = +dtheta does not cancel in the frame, so
-        # they are refused; the generic assemblies carry no source and step
-        # RK4
+        # they are refused; the generic assemblies are bare evaluators, with
+        # no source for evolve to propagate
         theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
         schedule = AngleSchedule(0.0, 1.0, theta=theta, phi=theta)
         with pytest.raises(InvalidInputError, match="phased"):
             lambda_hamiltonian(PulseSet(schedule, phased=True))
         for name in ("from-basis", "from-basis-four-level"):
-            assert evaluator_specs()[name].source is None
+            assert not hasattr(evaluator_specs()[name], "source")
 
     @pytest.mark.parametrize("branch", list(Branch))
     @pytest.mark.parametrize("protocol", list(Protocol))
@@ -677,12 +651,23 @@ class TestSingleAxis:
         with pytest.raises(InvalidInputError, match="frame"):
             Rotation(rotation.generator, rotation.angle, frame)
 
-    @pytest.mark.parametrize("source", ["three-level-lambda", "custom", 0, 1.5])
+    @pytest.mark.parametrize("source", [None, "three-level-lambda", "custom", 0, 1.5])
     def test_source_other_than_rotation_rejected(self, source):
-        # evolve trusts the field, so a label or any other value is refused
+        # evolve propagates the field, so a label or any other value is refused
         evaluator = symmetric_design().hamiltonian.evaluator
         with pytest.raises(InvalidInputError, match="source"):
             HamiltonianSpec(3, evaluator, source)
+
+    def test_source_is_required(self):
+        with pytest.raises(TypeError):
+            HamiltonianSpec(3, symmetric_design().hamiltonian.evaluator)
+
+    @pytest.mark.parametrize("dimension", [2, 4])
+    def test_dimension_other_than_the_source_rejected(self, dimension):
+        # a 3x3 rotation cannot act on another dimension's state
+        rotation = symmetric_design().hamiltonian.source
+        with pytest.raises(InvalidInputError, match="dimension"):
+            HamiltonianSpec(dimension, rotation, rotation)
 
     @pytest.mark.parametrize("name", ["single-I-arccos-plus", "multi"])
     def test_single_axis_drift_is_rounding(self, name):
@@ -758,17 +743,16 @@ class TestIntegerCounts:
 
 class TestSizeGuards:
     def test_rejected_before_allocation(self):
-        def never(t):
-            raise AssertionError("evaluated despite the size guard")
-
-        from cdpulse.protocols import PulseSet
+        class Never:
+            def __call__(self, t):
+                raise AssertionError("propagated despite the size guard")
 
         pulses = PulseSet(AngleSchedule(0.0, 1.0, theta=CubicPolynomial(
             0.0, 0.0, 0.0, 0.0, 0.0, 1.0)))
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInputError, match="too large"):
-                evolve(HamiltonianSpec(3, never), [1.0, 0.0, 0.0], 0.0, 1.0,
+                evolve(rotation_spec(Never()), [1.0, 0.0, 0.0], 0.0, 1.0,
                        steps=10**12)
             with pytest.raises(InvalidInputError, match="too large"):
                 pulses.sample(10**12)
@@ -786,7 +770,7 @@ class TestSizeGuards:
         monkeypatch.setattr(errors, "MAX_ARRAY_BYTES", budget)
         monkeypatch.setattr(dynamics, "MAX_ARRAY_BYTES", budget)
         assert max_steps(dimension) == 300
-        spec = HamiltonianSpec(dimension, lambda t: np.zeros((np.size(t), dimension, dimension)))
+        spec = rotation_spec(STILL, dimension)
         psi0 = np.eye(dimension)[0]
         assert evolve(spec, psi0, 0.0, 1.0, steps=300).states.shape == (301, dimension)
         with pytest.raises(InvalidInputError, match="too large"):
@@ -811,18 +795,18 @@ class TestObservables:
         traj = snapshot_trajectory(
             [SQ2, 0.0, SQ2 * np.exp(1j * math.pi / 3.0)]
         )
-        ext = extract_theta_kappa(traj)
-        assert ext.theta_prime[0] == pytest.approx(math.pi / 4.0, abs=1e-12)
-        assert ext.kappa_prime[0] == pytest.approx(math.pi / 3.0, abs=1e-12)
+        theta_prime, kappa_prime = extract_theta_kappa(traj)
+        assert theta_prime[0] == pytest.approx(math.pi / 4.0, abs=1e-12)
+        assert kappa_prime[0] == pytest.approx(math.pi / 3.0, abs=1e-12)
 
     def test_theta_kappa_bare_three(self):
-        ext = extract_theta_kappa(snapshot_trajectory([0.0, 0.0, 1.0]))
-        assert ext.theta_prime[0] == 0.0
-        assert ext.kappa_prime[0] == 0.0
+        theta_prime, kappa_prime = extract_theta_kappa(snapshot_trajectory([0.0, 0.0, 1.0]))
+        assert theta_prime[0] == 0.0
+        assert kappa_prime[0] == 0.0
 
     def test_kappa_gap_when_three_empty(self):
-        ext = extract_theta_kappa(snapshot_trajectory([1.0, 0.0, 0.0]))
-        assert math.isnan(ext.kappa_prime[0])
+        _, kappa_prime = extract_theta_kappa(snapshot_trajectory([1.0, 0.0, 0.0]))
+        assert math.isnan(kappa_prime[0])
 
     def test_bloch_poles_and_equator(self):
         north = bloch_coordinates(snapshot_trajectory([1.0, 0.0, 0.0]))
