@@ -611,6 +611,27 @@ class TestSingleAxis:
         generic = hamiltonian_from_basis(basis)(times)
         assert np.max(np.abs(spec.evaluator(times) - generic)) <= 1e-12
 
+    # single-II-identity has H = 0, which RK4 steps exactly: no order to read
+    @pytest.mark.parametrize("steps", [100, 200])
+    @pytest.mark.parametrize(
+        "name", sorted(set(package_rotations()) - {"single-II-identity"})
+    )
+    def test_closed_form_is_the_rk4_limit(self, name, steps):
+        # the reference RK4's global error against evolve's closed form, on
+        # every grid point from a random complex start, falls at fourth order
+        spec = package_rotations()[name]
+        t0, tf = spec.source.angle.t0, spec.source.angle.tf
+        rng = np.random.default_rng(89)
+        psi0 = rng.normal(size=spec.dimension) + 1j * rng.normal(size=spec.dimension)
+        psi0 /= np.linalg.norm(psi0)
+        e = {}
+        for n in (steps, 2 * steps):
+            exact = evolve(spec, psi0, t0, tf, steps=n).states
+            states = reference_rk4(spec, psi0, t0, tf, n)
+            e[n] = np.max(np.linalg.norm(states - exact, axis=1))
+        ratio = e[steps] / e[2 * steps]
+        assert 12.0 <= ratio <= 20.0
+
     def test_moving_angles_carry_no_source(self):
         # phased pulses on two moving angles, which no design builds, have
         # no closed form: Omega_a = +dtheta does not cancel in the frame, so
