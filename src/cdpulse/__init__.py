@@ -31,23 +31,15 @@ from .metrics import (
 from .protocols import (
     Branch,
     Design,
-    MultiModeSolution,
     Protocol,
     ProtocolRequest,
     PulseSet,
     TargetState,
     design,
-    design_multimode,
-    design_phased,
-    design_protocol_I,
-    design_protocol_II,
-    design_protocol_II_no_microwave,
     preset_targets,
     select_branch,
-    solve_multimode_boundary,
 )
 from .schedules import (
-    CubicBoundary,
     CubicPolynomial,
     fit_cubic,
 )
@@ -58,13 +50,11 @@ __all__ = [
     "AngleSchedule",
     "BasisFamily",
     "Branch",
-    "CubicBoundary",
     "CubicPolynomial",
     "Design",
     "DriveMetrics",
     "HamiltonianSpec",
     "MovingBasis",
-    "MultiModeSolution",
     "Protocol",
     "ProtocolRequest",
     "PulseSet",
@@ -78,11 +68,6 @@ __all__ = [
     "build_three_real_basis",
     "cavity_qed_hamiltonian",
     "design",
-    "design_multimode",
-    "design_phased",
-    "design_protocol_I",
-    "design_protocol_II",
-    "design_protocol_II_no_microwave",
     "drive_metrics",
     "evolve",
     "extract_theta_kappa",
@@ -95,5 +80,4 @@ __all__ = [
     "preset_targets",
     "ratio_surface",
     "select_branch",
-    "solve_multimode_boundary",
 ]

@@ -372,6 +372,10 @@ def evolve(
     not Hermitian with G^3 = G.  More steps cannot help.  ``steps`` must be
     an integer (a numpy one will do) of at least 100.
     """
+    if not isinstance(spec, HamiltonianSpec):
+        raise InvalidInputError(
+            f"evolve needs a HamiltonianSpec, got a {type(spec).__name__}"
+        )
     if not isinstance(steps, (int, np.integer)):
         raise InvalidInputError(f"steps must be an integer, got {steps!r}")
     if steps < 100:

@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InvalidInputError, InvalidIntervalError, check_array_budget
-from .protocols import PulseSet, TargetState, solve_multimode_boundary
+from .protocols import PulseSet, TargetState
 
 MASK_VALUE = 0.0
 
@@ -141,18 +141,25 @@ def single_mode_phase_span(eta: float) -> float:
 def mode_comparison_ratio(mu: float, eta: float, nu: float | None = None):
     """Closed-form (frequency ratio, energy ratio) of single- vs multi-mode.
 
-    Uses the pi - arcsin(eta/sin(theta0)) form of the multi-mode phase
-    excursion, which keeps every unmasked ratio strictly below 1.  (Close
-    to mu = 1 the boundary solver's disambiguated phi_f switches to the
-    arcsin branch and the two expressions differ; the comparison surface
-    follows this closed form.)  Returns (0, 0) in the masked region
-    eta^2 + mu^2 > 1.  The energy ratio is the square of the frequency
-    ratio.  A non-finite mu, eta or nu is rejected, never masked.
+    The single-mode excursion is |arcsin(eta) - pi/2|, as the no-microwave
+    design has it.  The multi-mode excursion is taken as
+    pi - arcsin(eta/sin(theta0)), with theta0 = atan2(1 - mu, nu) the multi
+    design's frozen mixing angle (``boundary["theta_0"]``, bit for bit).
+    That form keeps every unmasked ratio strictly below 1, but it is not
+    always the excursion ``design`` builds: the multi design takes zeta =
+    atan2(eta, mu sin(theta0) - nu cos(theta0)), which near mu = 1 is the
+    arcsin branch, where pi - arcsin misses the third boundary equation
+    (at (mu, eta) = (0.99, 0.14) this ratio reads 0.5005 and the designs'
+    5.04).  The comparison surface follows this closed form.
+
+    Returns (0, 0) in the masked region eta^2 + mu^2 > 1.  The energy ratio
+    is the square of the frequency ratio.  A non-finite mu, eta or nu is
+    rejected, never masked, and so is a negative one.
     """
     if not all(map(math.isfinite, (mu, eta) if nu is None else (mu, eta, nu))):
         raise InvalidInputError(f"mu, eta and nu must be finite, got {mu}, {eta}, {nu}")
-    if mu < 0.0 or eta < 0.0:
-        raise InvalidInputError("mu and eta must be nonnegative")
+    if mu < 0.0 or eta < 0.0 or (nu is not None and nu < 0.0):
+        raise InvalidInputError("mu, eta and nu must be nonnegative")
     # an amplitude past the tolerance is masked before it is squared, which
     # could overflow; its square would be past the tolerance too
     if max(mu, eta) > 1.0 + 1e-12 or eta**2 + mu**2 > 1.0 + 1e-12:
@@ -164,7 +171,7 @@ def mode_comparison_ratio(mu: float, eta: float, nu: float | None = None):
         # identity corner: both excursions degenerate; continuum limit along
         # eta = 0 is zeta -> pi, ratio -> 1/2
         return 0.5, 0.25
-    theta0 = solve_multimode_boundary(target).theta0
+    theta0 = math.atan2(1.0 - target.mu, target.nu)
     span_m = math.pi - math.asin(min(1.0, target.eta / math.sin(theta0)))
     omega_ratio = single_mode_phase_span(target.eta) / span_m
     return omega_ratio, omega_ratio**2

@@ -4,7 +4,9 @@ Five designs are provided.  Two single-mode routes drive the system along
 one moving state (with and without the ground-ground microwave coupling),
 a multi-mode route transports a fixed superposition of moving states from
 |1> without any microwave field, and a phased route realizes targets whose
-|3> amplitude carries a prescribed winding phase.
+|3> amplitude carries a prescribed winding phase.  ``design`` is the one
+entry point; every protocol solves its boundary equations for theta and phi
+at t0 and tf, and ``_design`` joins those endpoints with zero-slope cubics.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     UnsupportedBranchError,
     check_array_budget,
 )
-from .schedules import CubicBoundary, CubicPolynomial, fit_cubic
+from .schedules import CubicPolynomial, fit_cubic
 
 NORM_TOL = 1e-12
 BOUNDARY_RESIDUAL_TOL = 1e-10
@@ -123,6 +125,10 @@ class ProtocolRequest:
     lambda_rate: Optional[float] = None  # phase winding rate, default 0.5/T
 
     def __post_init__(self) -> None:
+        if not isinstance(self.protocol, Protocol):
+            raise InvalidInputError(f"protocol must be a Protocol, got {self.protocol!r}")
+        if not isinstance(self.branch, Branch):
+            raise InvalidInputError(f"branch must be a Branch, got {self.branch!r}")
         if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
             raise InvalidInputError(f"need tf > t0, got [{self.t0}, {self.tf}]")
         if self.lambda_rate is not None and not math.isfinite(self.lambda_rate):
@@ -187,17 +193,6 @@ class PulseSet:
         check_array_budget("sample count", n, 4 * 8)
         t = np.linspace(self.t0, self.tf, n)
         return (t, *self(t).T)
-
-
-@dataclass(frozen=True)
-class MultiModeSolution:
-    """Boundary angles and mode coefficients of the multi-mode design."""
-
-    theta0: float
-    theta_f: float
-    phi0: float
-    phi_f: float
-    mode_coefficients: tuple
 
 
 @dataclass(frozen=True)
@@ -272,11 +267,6 @@ def _check_initial(request: ProtocolRequest, required_index: int) -> np.ndarray:
     return vec
 
 
-def _angle(request: ProtocolRequest, start: float, end: float) -> CubicPolynomial:
-    """The zero-slope cubic from ``start`` at t0 to ``end`` at tf."""
-    return fit_cubic(CubicBoundary(request.t0, request.tf, start, end))
-
-
 def select_branch(mu: float, nu: float, branch: Branch) -> float:
     """Final mixing angle theta(T) for a two-state target mu|1> + nu|3>."""
     residual = abs(mu**2 + nu**2 - 1.0)
@@ -303,10 +293,29 @@ def _require_nonnegative(target: TargetState) -> None:
         )
 
 
-def design_protocol_I(request: ProtocolRequest) -> Design:
+def _design(request: ProtocolRequest, initial: np.ndarray, target_vector,
+            theta: tuple, phi: tuple, coefficients: tuple,
+            kappa: Optional[CubicPolynomial] = None, **extra) -> Design:
+    """A design whose theta and phi are zero-slope cubics from start to end.
+
+    ``theta`` and ``phi`` are the (t0, tf) values of the boundary
+    equations; ``boundary`` records the same numbers, plus ``extra``.
+    """
+    t0, tf = request.t0, request.tf
+    return Design(
+        protocol=request.protocol,
+        schedule=AngleSchedule(t0, tf, theta=fit_cubic(t0, tf, *theta),
+                               phi=fit_cubic(t0, tf, *phi), kappa=kappa),
+        initial_state=initial,
+        target_vector=np.array(target_vector, dtype=complex),
+        boundary={"theta_0": theta[0], "theta_f": theta[1],
+                  "phi_0": phi[0], "phi_f": phi[1], **extra},
+        mode_coefficients=coefficients,
+    )
+
+
+def _single_I(request: ProtocolRequest) -> Design:
     """Two-state transfer |1> -> mu|1> + nu|3> with the microwave field only."""
-    if request.protocol is not Protocol.SINGLE_MODE_I:
-        raise ProtocolMismatchError(f"expected single-I, got {request.protocol.value}")
     tgt = request.target
     if abs(tgt.eta) > NORM_TOL:
         raise ProtocolMismatchError(
@@ -314,126 +323,66 @@ def design_protocol_I(request: ProtocolRequest) -> Design:
         )
     initial = _check_initial(request, 1)
     theta_T = select_branch(tgt.mu, tgt.nu, request.branch)
-    return Design(
-        protocol=request.protocol,
-        schedule=AngleSchedule(request.t0, request.tf,
-                               theta=_angle(request, 0.0, theta_T)),
-        initial_state=initial,
-        target_vector=np.array([math.cos(theta_T), 0.0, math.sin(theta_T)],
-                               dtype=complex),
-        boundary={"theta_0": 0.0, "theta_f": theta_T, "phi_0": 0.0, "phi_f": 0.0,
-                  "branch": request.branch.value},
-        mode_coefficients=(1.0, 0.0, 0.0),
-    )
+    return _design(request, initial, [math.cos(theta_T), 0.0, math.sin(theta_T)],
+                   theta=(0.0, theta_T), phi=(0.0, 0.0), coefficients=(1.0, 0.0, 0.0),
+                   branch=request.branch.value)
 
 
-def design_protocol_II(request: ProtocolRequest) -> Design:
+def _single_II(request: ProtocolRequest) -> Design:
     """Three-state transfer |1> -> mu|1> + eta|2> - nu|3> with all three fields."""
-    if request.protocol is not Protocol.SINGLE_MODE_II:
-        raise ProtocolMismatchError(f"expected single-II, got {request.protocol.value}")
     tgt = request.target
     _require_nonnegative(tgt)
     initial = _check_initial(request, 1)
     chi = math.atan2(tgt.mu, tgt.nu)  # arctan(mu/nu); pi/2 limit at nu = 0
-    phi_f = math.asin(tgt.eta)
-    return Design(
-        protocol=request.protocol,
-        schedule=AngleSchedule(request.t0, request.tf,
-                               theta=_angle(request, math.pi / 2.0, chi),
-                               phi=_angle(request, 0.0, phi_f)),
-        initial_state=initial,
-        target_vector=np.array([tgt.mu, tgt.eta, -tgt.nu], dtype=complex),
-        boundary={"theta_0": math.pi / 2.0, "theta_f": chi, "phi_0": 0.0,
-                  "phi_f": phi_f, "chi": chi},
-        mode_coefficients=(0.0, 1.0, 0.0),
-    )
+    return _design(request, initial, [tgt.mu, tgt.eta, -tgt.nu],
+                   theta=(math.pi / 2.0, chi), phi=(0.0, math.asin(tgt.eta)),
+                   coefficients=(0.0, 1.0, 0.0), chi=chi)
 
 
-def design_protocol_II_no_microwave(request: ProtocolRequest) -> Design:
+def _single_II_no_microwave(request: ProtocolRequest) -> Design:
     """Transfer |2> -> mu|1> + eta|2> - nu|3> with theta frozen (Omega_a = 0)."""
-    if request.protocol is not Protocol.SINGLE_MODE_II_NO_MICROWAVE:
-        raise ProtocolMismatchError(
-            f"expected single-II-nomw, got {request.protocol.value}"
-        )
     tgt = request.target
     _require_nonnegative(tgt)
     initial = _check_initial(request, 2)
     chi = math.atan2(tgt.mu, tgt.nu)
-    phi_f = math.asin(tgt.eta)
-    return Design(
-        protocol=request.protocol,
-        schedule=AngleSchedule(request.t0, request.tf,
-                               theta=_angle(request, chi, chi),
-                               phi=_angle(request, math.pi / 2.0, phi_f)),
-        initial_state=initial,
-        target_vector=np.array([tgt.mu, tgt.eta, -tgt.nu], dtype=complex),
-        boundary={"theta_0": chi, "theta_f": chi, "phi_0": math.pi / 2.0,
-                  "phi_f": phi_f, "chi": chi},
-        mode_coefficients=(0.0, 1.0, 0.0),
-    )
+    return _design(request, initial, [tgt.mu, tgt.eta, -tgt.nu],
+                   theta=(chi, chi), phi=(math.pi / 2.0, math.asin(tgt.eta)),
+                   coefficients=(0.0, 1.0, 0.0), chi=chi)
 
 
-def solve_multimode_boundary(target: TargetState) -> MultiModeSolution:
-    """Boundary angles for the microwave-free multi-mode transfer from |1>.
+def _multi(request: ProtocolRequest) -> Design:
+    """Microwave-free transfer |1> -> mu|1> + eta|2> + nu|3>.
 
     phi_0 = 0 removes the third mode; theta is frozen at
-    arctan((1 - mu)/nu), and phi_f resolves the arcsin two-valuedness via
-    atan2 so that all three boundary equations hold simultaneously.
+    arctan((1 - mu)/nu), and zeta = phi_f resolves the arcsin two-valuedness
+    via atan2 so that all three boundary equations hold simultaneously.
     """
-    _require_nonnegative(target)
-    mu, eta, nu = target.mu, target.eta, target.nu
-    if abs(mu - 1.0) < NORM_TOL:
-        # target equals initial state: identity transfer, zero pulses
-        return MultiModeSolution(
-            theta0=math.pi / 2.0,
-            theta_f=math.pi / 2.0,
-            phi0=0.0,
-            phi_f=0.0,
-            mode_coefficients=(0.0, 1.0, 0.0),
-        )
-    theta0 = math.atan2(1.0 - mu, nu)  # pi/2 limit at nu = 0
-    s0, c0 = math.sin(theta0), math.cos(theta0)
-    phi_f = math.atan2(eta, mu * s0 - nu * c0)
-    residuals = (
-        abs(c0 - (mu * c0 + nu * s0)),
-        abs(s0 * math.sin(phi_f) - eta),
-        abs(s0 * math.cos(phi_f) - (mu * s0 - nu * c0)),
-    )
-    if max(residuals) > BOUNDARY_RESIDUAL_TOL:
-        raise BoundarySolveError(
-            f"boundary residuals {residuals} exceed {BOUNDARY_RESIDUAL_TOL:.1e}"
-        )
-    return MultiModeSolution(
-        theta0=theta0,
-        theta_f=theta0,
-        phi0=0.0,
-        phi_f=phi_f,
-        mode_coefficients=(c0, s0, 0.0),
-    )
-
-
-def design_multimode(request: ProtocolRequest) -> Design:
-    """Microwave-free transfer |1> -> mu|1> + eta|2> + nu|3>."""
-    if request.protocol is not Protocol.MULTI_MODE:
-        raise ProtocolMismatchError(f"expected multi, got {request.protocol.value}")
     tgt = request.target
     initial = _check_initial(request, 1)
-    solution = solve_multimode_boundary(tgt)
-    return Design(
-        protocol=request.protocol,
-        schedule=AngleSchedule(request.t0, request.tf,
-                               theta=_angle(request, solution.theta0, solution.theta_f),
-                               phi=_angle(request, solution.phi0, solution.phi_f)),
-        initial_state=initial,
-        target_vector=np.array([tgt.mu, tgt.eta, tgt.nu], dtype=complex),
-        boundary={"theta_0": solution.theta0, "theta_f": solution.theta_f,
-                  "phi_0": solution.phi0, "phi_f": solution.phi_f,
-                  "zeta": solution.phi_f},
-        mode_coefficients=solution.mode_coefficients,
-    )
+    _require_nonnegative(tgt)
+    mu, eta, nu = tgt.mu, tgt.eta, tgt.nu
+    if abs(mu - 1.0) < NORM_TOL:
+        # target equals initial state: identity transfer, zero pulses
+        theta0, phi_f, coefficients = math.pi / 2.0, 0.0, (0.0, 1.0, 0.0)
+    else:
+        theta0 = math.atan2(1.0 - mu, nu)  # pi/2 limit at nu = 0
+        s0, c0 = math.sin(theta0), math.cos(theta0)
+        phi_f = math.atan2(eta, mu * s0 - nu * c0)
+        residuals = (
+            abs(c0 - (mu * c0 + nu * s0)),
+            abs(s0 * math.sin(phi_f) - eta),
+            abs(s0 * math.cos(phi_f) - (mu * s0 - nu * c0)),
+        )
+        if max(residuals) > BOUNDARY_RESIDUAL_TOL:
+            raise BoundarySolveError(
+                f"boundary residuals {residuals} exceed {BOUNDARY_RESIDUAL_TOL:.1e}"
+            )
+        coefficients = (c0, s0, 0.0)
+    return _design(request, initial, [mu, eta, nu], theta=(theta0, theta0),
+                   phi=(0.0, phi_f), coefficients=coefficients, zeta=phi_f)
 
 
-def design_phased(request: ProtocolRequest) -> Design:
+def _phased(request: ProtocolRequest) -> Design:
     """Transfer |3> -> mu|1> + e^{i kappa} nu|3> with a winding |3>-phase.
 
     kappa(t) = lambda*pi*(t - t0) with lambda = lambda_rate (default
@@ -448,8 +397,6 @@ def design_phased(request: ProtocolRequest) -> Design:
     that is |kappa(tf)| < 2**52; the same test rejects an infinite or NaN
     kappa(tf).
     """
-    if request.protocol is not Protocol.PHASED:
-        raise ProtocolMismatchError(f"expected phased, got {request.protocol.value}")
     tgt = request.target
     if abs(tgt.eta) > NORM_TOL:
         raise UnsupportedBranchError(
@@ -471,32 +418,25 @@ def design_phased(request: ProtocolRequest) -> Design:
             f"final phase kappa(tf) = lambda*pi*T = {kappa_f:g} is not below 2**52, "
             "so its float cannot fix the |3> phase to a radian; lower --lambda"
         )
-    return Design(
-        protocol=request.protocol,
-        schedule=AngleSchedule(
-            request.t0, request.tf, theta=_angle(request, 0.0, theta_f),
-            kappa=CubicPolynomial(0.0, lam * math.pi, 0.0, 0.0, request.t0, request.tf),
-        ),
-        initial_state=initial,
-        target_vector=np.array([tgt.mu, 0.0, np.exp(1j * kappa_f) * tgt.nu],
-                               dtype=complex),
-        boundary={"theta_0": 0.0, "theta_f": theta_f, "phi_0": 0.0, "phi_f": 0.0,
-                  "kappa_f": kappa_f, "lambda": lam},
-        mode_coefficients=(1.0, 0.0, 0.0),
-    )
+    return _design(request, initial, [tgt.mu, 0.0, np.exp(1j * kappa_f) * tgt.nu],
+                   theta=(0.0, theta_f), phi=(0.0, 0.0),
+                   coefficients=(1.0, 0.0, 0.0),
+                   kappa=CubicPolynomial(0.0, lam * math.pi, 0.0, 0.0,
+                                         request.t0, request.tf),
+                   kappa_f=kappa_f, **{"lambda": lam})
 
 
 _DESIGNERS = {
-    Protocol.SINGLE_MODE_I: design_protocol_I,
-    Protocol.SINGLE_MODE_II: design_protocol_II,
-    Protocol.SINGLE_MODE_II_NO_MICROWAVE: design_protocol_II_no_microwave,
-    Protocol.MULTI_MODE: design_multimode,
-    Protocol.PHASED: design_phased,
+    Protocol.SINGLE_MODE_I: _single_I,
+    Protocol.SINGLE_MODE_II: _single_II,
+    Protocol.SINGLE_MODE_II_NO_MICROWAVE: _single_II_no_microwave,
+    Protocol.MULTI_MODE: _multi,
+    Protocol.PHASED: _phased,
 }
 
 
 def design(request: ProtocolRequest) -> Design:
-    """Dispatch a request to its protocol's designer."""
+    """The package's one designer: dispatch a request to its protocol."""
     return _DESIGNERS[request.protocol](request)
 
 

@@ -16,27 +16,6 @@ from .errors import InvalidIntervalError
 
 
 @dataclass(frozen=True)
-class CubicBoundary:
-    """Endpoint constraints for a cubic: values and slopes at t0 and tf."""
-
-    t0: float
-    tf: float
-    f0: float
-    ff: float
-    df0: float = 0.0
-    dff: float = 0.0
-
-    def __post_init__(self) -> None:
-        vals = (self.t0, self.tf, self.f0, self.ff, self.df0, self.dff)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidIntervalError("boundary data must be finite")
-        if self.tf <= self.t0:
-            raise InvalidIntervalError(
-                f"need tf > t0, got [{self.t0}, {self.tf}]"
-            )
-
-
-@dataclass(frozen=True)
 class CubicPolynomial:
     """p(t) = a0 + a1*s + a2*s**2 + a3*s**3 with s = t - t0, on [t0, tf]."""
 
@@ -67,15 +46,21 @@ class CubicPolynomial:
         return self.a1 + s * (2.0 * self.a2 + 3.0 * self.a3 * s)
 
 
-def fit_cubic(boundary: CubicBoundary) -> CubicPolynomial:
-    """Return the unique cubic matching all four endpoint constraints.
+def fit_cubic(
+    t0: float, tf: float, f0: float, ff: float, df0: float = 0.0, dff: float = 0.0
+) -> CubicPolynomial:
+    """Return the unique cubic with values f0, ff and slopes df0, dff at t0, tf.
 
     Closed-form solution of the 4x4 linear system in powers of (t - t0).
-    Raises InvalidIntervalError for an interval so short or so long that
-    dt**2 or dt**3 leaves the normal float range, or whenever a coefficient
-    comes out non-finite.
+    Raises InvalidIntervalError for non-finite data, for tf <= t0, for an
+    interval so short or so long that dt**2 or dt**3 leaves the normal
+    float range, or whenever a coefficient comes out non-finite.
     """
-    dt = boundary.tf - boundary.t0
+    if not all(math.isfinite(v) for v in (t0, tf, f0, ff, df0, dff)):
+        raise InvalidIntervalError("boundary data must be finite")
+    if tf <= t0:
+        raise InvalidIntervalError(f"need tf > t0, got [{t0}, {tf}]")
+    dt = tf - t0
     try:
         dt2, dt3 = dt**2, dt**3
     except OverflowError:
@@ -84,15 +69,12 @@ def fit_cubic(boundary: CubicBoundary) -> CubicPolynomial:
         raise InvalidIntervalError(
             f"interval length {dt!r} is outside the range a cubic can be fitted on"
         )
-    df = boundary.ff - boundary.f0
-    a0 = boundary.f0
-    a1 = boundary.df0
-    a2 = (3.0 * df - (2.0 * boundary.df0 + boundary.dff) * dt) / dt2
-    a3 = (-2.0 * df + (boundary.df0 + boundary.dff) * dt) / dt3
+    df = ff - f0
+    a2 = (3.0 * df - (2.0 * df0 + dff) * dt) / dt2
+    a3 = (-2.0 * df + (df0 + dff) * dt) / dt3
     if not (math.isfinite(a2) and math.isfinite(a3)):
         raise InvalidIntervalError(
             f"cubic coefficients ({a2!r}, {a3!r}) on an interval of length "
             f"{dt!r} are not finite"
         )
-    return CubicPolynomial(a0, a1, a2, a3, boundary.t0, boundary.tf)
-
+    return CubicPolynomial(f0, df0, a2, a3, t0, tf)

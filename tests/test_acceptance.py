@@ -11,7 +11,6 @@ import pytest
 
 from cdpulse import (
     Branch,
-    CubicBoundary,
     Protocol,
     ProtocolRequest,
     TargetState,
@@ -19,11 +18,6 @@ from cdpulse import (
     build_four_level_basis,
     cavity_qed_hamiltonian,
     design,
-    design_multimode,
-    design_phased,
-    design_protocol_I,
-    design_protocol_II,
-    design_protocol_II_no_microwave,
     drive_metrics,
     evolve,
     extract_theta_kappa,
@@ -32,7 +26,6 @@ from cdpulse import (
     hamiltonian_from_basis,
     preset_targets,
     ratio_surface,
-    solve_multimode_boundary,
 )
 from test_basis import cubic_schedule
 from test_dynamics import hermiticity_defect, reference_rk4
@@ -69,7 +62,7 @@ def run(dsg, steps=4000):
 
 def test_01_even_split_populations_and_pulse_form():
     with report(1, "microwave-only even split: populations and pulse shape"):
-        dsg = design_protocol_I(
+        dsg = design(
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2))
         )
         p = run(dsg).populations[-1]
@@ -85,7 +78,7 @@ def test_02_fast_inversion_any_duration():
     with report(2, "full inversion at T = 0.1, 1, 10 with 1/T pulse scaling"):
         peaks = {}
         for T in (0.1, 1.0, 10.0):
-            dsg = design_protocol_I(
+            dsg = design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_I, TargetState(0.0, 0.0, 1.0), tf=T
                 )
@@ -106,7 +99,7 @@ def test_03_branch_suite_fidelity_signs():
             (Branch.ARCSIN_MINUS, (+SQ2, -SQ2)),
         ]
         for branch, (f1, f3) in cases:
-            dsg = design_protocol_I(
+            dsg = design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_I,
                     TargetState(SQ2, 0.0, SQ2),
@@ -124,7 +117,7 @@ def test_04_three_field_transfer():
             (0.0, SQ2, SQ2, (0.0, 0.5, 0.5)),
             (SQ3, SQ3, SQ3, (1 / 3, 1 / 3, 1 / 3)),
         ]:
-            dsg = design_protocol_II(
+            dsg = design(
                 ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(mu, eta, nu))
             )
             p = run(dsg).populations[-1]
@@ -137,7 +130,7 @@ def test_05_no_microwave_variant():
             (SQ2, 0.0, SQ2, (0.5, 0.0, 0.5)),
             (SQ6, SQ3, SQ2, (1 / 6, 1 / 3, 0.5)),
         ]:
-            dsg = design_protocol_II_no_microwave(
+            dsg = design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_II_NO_MICROWAVE,
                     TargetState.normalized(mu, eta, nu),
@@ -158,7 +151,7 @@ def test_06_multimode_targets_and_coefficients():
             (SQ2, 0.5, 0.5),
             (SQ2, 0.0, SQ2),
         ]:
-            dsg = design_multimode(
+            dsg = design(
                 ProtocolRequest(
                     Protocol.MULTI_MODE, TargetState.normalized(mu, eta, nu)
                 )
@@ -183,12 +176,12 @@ def test_07_ratio_surface_and_metric_consistency():
         ) <= 1e-10
         # integrated metrics against the closed-form phase excursions
         tgt = TargetState(SQ3, SQ3, SQ3)
-        multi = design_multimode(ProtocolRequest(Protocol.MULTI_MODE, tgt))
-        zeta = solve_multimode_boundary(tgt).phi_f
+        multi = design(ProtocolRequest(Protocol.MULTI_MODE, tgt))
+        zeta = multi.boundary["zeta"]
         assert drive_metrics(multi.pulses).omega_bar == pytest.approx(
             zeta, abs=1e-8
         )
-        single = design_protocol_II_no_microwave(
+        single = design(
             ProtocolRequest(
                 Protocol.SINGLE_MODE_II_NO_MICROWAVE, tgt, initial_state=2
             )
@@ -201,7 +194,7 @@ def test_07_ratio_surface_and_metric_consistency():
 
 def test_08_phase_protocol_extraction():
     with report(8, "winding-phase transfer: extracted angles track the schedule"):
-        dsg = design_phased(
+        dsg = design(
             ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2))
         )
         traj = run(dsg)
@@ -261,7 +254,7 @@ def test_11_property_suites():
                 ) <= 1e-12
                 assert basis.completeness_defect(t) <= 1e-12
         # Hermiticity across constructions
-        dsg = design_protocol_II(
+        dsg = design(
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3))
         )
         specs = [
@@ -287,11 +280,10 @@ def test_11_property_suites():
         # cubic boundary residuals
         for _ in range(1000):
             t0 = rng.uniform(-1.0, 1.0)
-            b = CubicBoundary(
-                t0, t0 + rng.uniform(0.2, 3.0), *rng.uniform(-3.0, 3.0, size=4)
-            )
-            poly = fit_cubic(b)
-            assert abs(poly(b.t0) - b.f0) <= 1e-12
-            assert abs(poly(b.tf) - b.ff) <= 1e-12
-            assert abs(poly.derivative(b.t0) - b.df0) <= 1e-12
-            assert abs(poly.derivative(b.tf) - b.dff) <= 1e-12
+            tf = t0 + rng.uniform(0.2, 3.0)
+            f0, ff, df0, dff = rng.uniform(-3.0, 3.0, size=4)
+            poly = fit_cubic(t0, tf, f0, ff, df0, dff)
+            assert abs(poly(t0) - f0) <= 1e-12
+            assert abs(poly(tf) - ff) <= 1e-12
+            assert abs(poly.derivative(t0) - df0) <= 1e-12
+            assert abs(poly.derivative(tf) - dff) <= 1e-12

@@ -6,7 +6,6 @@ import pytest
 from cdpulse import (
     AngleSchedule,
     BasisFamily,
-    CubicBoundary,
     build_four_level_basis,
     build_phased_basis,
     build_three_real_basis,
@@ -17,12 +16,12 @@ from cdpulse.errors import InvalidInputError, WrongFamilyError
 
 def cubic_schedule(rng, t0=0.0, tf=1.0, phases=False):
     """A random cubic schedule (phases optional)."""
-    theta = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.2, 1.2, size=2)))
-    phi = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.2, 1.2, size=2)))
+    theta = fit_cubic(t0, tf, *rng.uniform(-1.2, 1.2, size=2))
+    phi = fit_cubic(t0, tf, *rng.uniform(-1.2, 1.2, size=2))
     extra = {}
     if phases:
-        g = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.0, 1.0, size=2)))
-        k = fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-1.0, 1.0, size=2)))
+        g = fit_cubic(t0, tf, *rng.uniform(-1.0, 1.0, size=2))
+        k = fit_cubic(t0, tf, *rng.uniform(-1.0, 1.0, size=2))
         extra = {"gamma": g, "kappa": k}
     return AngleSchedule(t0=t0, tf=tf, theta=theta, phi=phi, **extra)
 
@@ -36,15 +35,15 @@ class TestAngleSchedule:
     def test_bad_interval(self):
         with pytest.raises(InvalidInputError):
             AngleSchedule(
-                t0=1.0, tf=1.0, theta=fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
+                t0=1.0, tf=1.0, theta=fit_cubic(0.0, 1.0, 0.0, 1.0)
             )
 
     @pytest.mark.parametrize("name", ["theta", "phi", "gamma", "kappa"])
     def test_cubic_on_another_interval_rejected(self, name):
         # a cubic fitted on [1, 2] would be evaluated outside its range:
         # theta(0) of this one is 5, not its boundary value 0
-        foreign = fit_cubic(CubicBoundary(1.0, 2.0, 0.0, 1.0))
-        angles = {"theta": fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0)), name: foreign}
+        foreign = fit_cubic(1.0, 2.0, 0.0, 1.0)
+        angles = {"theta": fit_cubic(0.0, 1.0, 0.0, 1.0), name: foreign}
         with pytest.raises(InvalidInputError):
             AngleSchedule(t0=0.0, tf=1.0, **angles)
 
@@ -73,8 +72,8 @@ class TestMovingBases:
         sched = AngleSchedule(
             t0=0.0,
             tf=1.0,
-            theta=fit_cubic(CubicBoundary(0.0, 1.0, 0.3, 0.3)),
-            phi=fit_cubic(CubicBoundary(0.0, 1.0, 0.8, 0.8)),
+            theta=fit_cubic(0.0, 1.0, 0.3, 0.3),
+            phi=fit_cubic(0.0, 1.0, 0.8, 0.8),
         )
         b = build_three_real_basis(sched).vectors(0.5)
         c, s = math.cos(0.3), math.sin(0.3)
@@ -144,7 +143,7 @@ class TestMovingBases:
     def test_float_time_stays_in_python_floats(self, monkeypatch):
         # a float (or numpy float64) time is evaluated with libm, without
         # numpy trigonometry, and agrees with a 0-d array time
-        cubic = fit_cubic(CubicBoundary(0.0, 1.0, 0.2, 1.1))
+        cubic = fit_cubic(0.0, 1.0, 0.2, 1.1)
         assert type(cubic(0.3)) is float
         assert type(cubic.derivative(np.float64(0.3))) is float
         rng = np.random.default_rng(23)

@@ -7,7 +7,6 @@ import pytest
 from cdpulse import (
     AngleSchedule,
     Branch,
-    CubicBoundary,
     CubicPolynomial,
     HamiltonianSpec,
     Protocol,
@@ -16,7 +15,6 @@ from cdpulse import (
     Trajectory,
     bloch_coordinates,
     cavity_qed_hamiltonian,
-    design_protocol_II,
     evolve,
     extract_theta_kappa,
     fit_cubic,
@@ -28,7 +26,6 @@ from cdpulse import (
     build_phased_basis,
     build_three_real_basis,
     design,
-    design_multimode,
     preset_targets,
     ratio_surface,
 )
@@ -49,7 +46,7 @@ SQ3 = 1.0 / math.sqrt(3.0)
 
 
 def symmetric_design():
-    return design_protocol_II(
+    return design(
         ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3))
     )
 
@@ -94,7 +91,7 @@ def protocol_cases():
         cases[request.protocol.value] = (
             d.hamiltonian, d.initial_state, request.t0, request.tf
         )
-    d = design_multimode(preset_targets("cavity-bell"))
+    d = design(preset_targets("cavity-bell"))
     cases["cavity-qed"] = (cavity_qed_hamiltonian(d.pulses), d.initial_state, 0.0, 1.0)
     return cases
 
@@ -103,11 +100,11 @@ def constant_phase_schedule(rng, t0=0.0, tf=1.0):
     """Moving theta and kappa (nonzero end slopes), constant phi and gamma."""
 
     def moving():
-        return fit_cubic(CubicBoundary(t0, tf, *rng.uniform(-2.0, 2.0, size=4)))
+        return fit_cubic(t0, tf, *rng.uniform(-2.0, 2.0, size=4))
 
     def constant():
         v = rng.uniform(-1.0, 1.0)
-        return fit_cubic(CubicBoundary(t0, tf, v, v))
+        return fit_cubic(t0, tf, v, v)
 
     return AngleSchedule(t0, tf, theta=moving(), phi=constant(),
                          gamma=constant(), kappa=moving())
@@ -144,7 +141,7 @@ def evaluator_specs():
     """One evaluator each: the Lambda, cavity, four-level and phased specs,
     and the generic from-basis assemblies."""
     schedules = evaluator_schedules()
-    d = design_multimode(preset_targets("cavity-bell"))
+    d = design(preset_targets("cavity-bell"))
     return {
         "lambda": symmetric_design().hamiltonian,
         "cavity-qed": cavity_qed_hamiltonian(d.pulses),
@@ -220,7 +217,7 @@ class TestHamiltonianAssembly:
             assert closed.hermiticity_defect(t) <= 1e-12
 
     def test_four_level_static_is_zero(self):
-        theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.4, 0.4))
+        theta = fit_cubic(0.0, 1.0, 0.4, 0.4)
         from cdpulse import AngleSchedule
 
         sched = AngleSchedule(t0=0.0, tf=1.0, theta=theta)
@@ -268,7 +265,7 @@ class TestPhasedClosedForm:
         rng = np.random.default_rng(83)
         sched = constant_phase_schedule(rng)
         sched = AngleSchedule(0.0, 1.0, theta=sched.theta, kappa=sched.kappa,
-                              **{moving: fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 0.2))})
+                              **{moving: fit_cubic(0.0, 1.0, 0.0, 0.2)})
         with pytest.raises(InvalidInputError):
             phased_hamiltonian(sched)
 
@@ -302,9 +299,7 @@ class TestVectorizedEvaluators:
 
 class TestCavityQed:
     def test_pattern_and_hermiticity(self):
-        from cdpulse import design_multimode, preset_targets
-
-        d = design_multimode(preset_targets("cavity-bell"))
+        d = design(preset_targets("cavity-bell"))
         spec = cavity_qed_hamiltonian(d.pulses)
         rng = np.random.default_rng(61)
         for t in rng.uniform(0.0, 1.0, size=100):
@@ -321,7 +316,7 @@ class TestCavityQed:
     def test_is_the_lambda_matrix(self):
         # theta is constant, so Omega_a is exact +0.0 and the mapping adds
         # nothing to the Lambda spec: same matrices, same rotation
-        d = design_multimode(preset_targets("cavity-bell"))
+        d = design(preset_targets("cavity-bell"))
         cavity, lam = cavity_qed_hamiltonian(d.pulses), lambda_hamiltonian(d.pulses)
         times = np.linspace(0.0, 1.0, 401)
         assert cavity.evaluator(times).tobytes() == lam.evaluator(times).tobytes()
@@ -336,9 +331,7 @@ class TestCavityQed:
         assert np.max(np.abs(cavity_qed_hamiltonian(pulses)(0.3))) == 0.0
 
     def test_microwave_pulses_rejected(self):
-        from cdpulse import design_protocol_I
-
-        d = design_protocol_I(
+        d = design(
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2))
         )
         with pytest.raises(MappingUnsupportedError):
@@ -349,7 +342,7 @@ class TestCavityQed:
         # it is not identically zero
         from cdpulse.protocols import PulseSet
 
-        theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1e-20))
+        theta = fit_cubic(0.0, 1.0, 0.0, 1e-20)
         with pytest.raises(MappingUnsupportedError):
             cavity_qed_hamiltonian(PulseSet(AngleSchedule(0.0, 1.0, theta=theta)))
 
@@ -412,6 +405,16 @@ class TestEvolve:
         with pytest.raises(InvalidInputError):
             evolve(spec, [1.0, 0.0, 0.0], 0.0, np.inf)
 
+    @pytest.mark.parametrize("wrong", ["rotation", "evaluator"])
+    def test_spec_that_is_not_a_spec_rejected(self, wrong):
+        # a design's Rotation or a bare evaluator is an input error, not an
+        # AttributeError from inside evolve
+        d = symmetric_design()
+        spec = {"rotation": d.hamiltonian.source,
+                "evaluator": hamiltonian_from_basis(d.basis)}[wrong]
+        with pytest.raises(InvalidInputError, match="HamiltonianSpec"):
+            evolve(spec, d.initial_state, 0.0, 1.0)
+
 
 class TestBlockPropagation:
     # with 128-step blocks, 401 = 3*128 + 17 ends on a partly filled block
@@ -460,7 +463,7 @@ SINGLE_AXIS_CASES = ["single-II-nomw", "multi", "cavity-qed"] + [
 def single_axis_case(name):
     """(design, spec) of a single-axis design; the cavity runs the bell preset."""
     if name == "cavity-qed":
-        d = design_multimode(preset_targets("cavity-bell"))
+        d = design(preset_targets("cavity-bell"))
         return d, cavity_qed_hamiltonian(d.pulses)
     if name == "single-II-nomw":
         d = design(ProtocolRequest(Protocol.SINGLE_MODE_II_NO_MICROWAVE,
@@ -637,7 +640,7 @@ class TestSingleAxis:
         # no closed form: Omega_a = +dtheta does not cancel in the frame, so
         # they are refused; the generic assemblies are bare evaluators, with
         # no source for evolve to propagate
-        theta = fit_cubic(CubicBoundary(0.0, 1.0, 0.0, 1.0))
+        theta = fit_cubic(0.0, 1.0, 0.0, 1.0)
         schedule = AngleSchedule(0.0, 1.0, theta=theta, phi=theta)
         with pytest.raises(InvalidInputError, match="phased"):
             lambda_hamiltonian(PulseSet(schedule, phased=True))

@@ -19,12 +19,9 @@ from cdpulse import (
     ProtocolRequest,
     TargetState,
     design,
-    design_multimode,
-    design_protocol_II_no_microwave,
     drive_metrics,
     mode_comparison_ratio,
     ratio_surface,
-    solve_multimode_boundary,
 )
 from cdpulse import metrics
 from cdpulse.errors import InvalidInputError, InvalidIntervalError
@@ -45,8 +42,8 @@ class TestDriveMetrics:
         # sqrt(Op^2 + Os^2) = |dphi| and phi runs monotonically 0 -> zeta,
         # so the time-averaged frequency is exactly zeta / T
         tgt = TargetState(SQ3, SQ3, SQ3)
-        d = design_multimode(ProtocolRequest(Protocol.MULTI_MODE, tgt))
-        zeta = solve_multimode_boundary(tgt).phi_f
+        d = design(ProtocolRequest(Protocol.MULTI_MODE, tgt))
+        zeta = d.boundary["zeta"]
         m = drive_metrics(d.pulses)
         assert m.omega_bar == pytest.approx(zeta / 1.0, abs=1e-8)
         assert m.quad_error <= 1e-8
@@ -54,7 +51,7 @@ class TestDriveMetrics:
 
     def test_no_microwave_closed_form(self):
         tgt = TargetState.normalized(1.0 / math.sqrt(6.0), SQ3, SQ2)
-        d = design_protocol_II_no_microwave(
+        d = design(
             ProtocolRequest(
                 Protocol.SINGLE_MODE_II_NO_MICROWAVE, tgt, initial_state=2
             )
@@ -78,7 +75,7 @@ class TestDriveMetrics:
         tgt = TargetState(SQ3, SQ3, SQ3)
         vals = {}
         for T in (1.0, 10.0):
-            d = design_multimode(ProtocolRequest(Protocol.MULTI_MODE, tgt, tf=T))
+            d = design(ProtocolRequest(Protocol.MULTI_MODE, tgt, tf=T))
             vals[T] = drive_metrics(d.pulses)
         assert vals[10.0].omega_bar == pytest.approx(vals[1.0].omega_bar / 10.0)
         assert vals[10.0].energy_bar == pytest.approx(vals[1.0].energy_bar / 10.0)
@@ -117,12 +114,12 @@ class TestModeComparisonRatio:
         # oracle: design both pulse sets for the same target and take the
         # quotient of their numerically integrated frequency functionals
         tgt = TargetState(SQ3, SQ3, SQ3)
-        single = design_protocol_II_no_microwave(
+        single = design(
             ProtocolRequest(
                 Protocol.SINGLE_MODE_II_NO_MICROWAVE, tgt, initial_state=2
             )
         )
-        multi = design_multimode(ProtocolRequest(Protocol.MULTI_MODE, tgt))
+        multi = design(ProtocolRequest(Protocol.MULTI_MODE, tgt))
         # the designed multi-mode excursion zeta equals pi - arcsin(eta /
         # sin(theta0)) here, so the integrated quotient matches closed form
         num = drive_metrics(single.pulses).omega_bar
@@ -134,6 +131,46 @@ class TestModeComparisonRatio:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             mode_comparison_ratio(-0.1, 0.5)
+        with pytest.raises(InvalidInputError):
+            mode_comparison_ratio(0.3, 0.4, -0.5)
+
+    def test_theta0_is_the_multi_designs(self):
+        # the closed form at the multi design's frozen mixing angle, bit for
+        # bit; both normalize the same amplitudes
+        rng = np.random.default_rng(113)
+        for v in np.abs(rng.normal(size=(200, 3))):
+            mu, eta, nu = v / np.linalg.norm(v)
+            target = TargetState.normalized(mu, eta, nu)
+            if abs(target.mu - 1.0) < 1e-12:
+                continue
+            theta0 = design(ProtocolRequest(Protocol.MULTI_MODE, target)).boundary[
+                "theta_0"]
+            span_m = math.pi - math.asin(min(1.0, target.eta / math.sin(theta0)))
+            omega = abs(math.asin(target.eta) - math.pi / 2.0) / span_m
+            assert mode_comparison_ratio(mu, eta, nu) == (omega, omega**2)
+
+    def test_disagrees_with_the_designs_near_mu_one(self):
+        # pinned: at (0.99, 0.14) the closed form's pi - arcsin excursion is
+        # not the one the multi design builds (its atan2 picks the arcsin
+        # branch), so the closed-form ratio is ten times below the realized
+        # ratio |dphi_nomw| / |dphi_multi| of the two designs
+        mu, eta = 0.99, 0.14
+        target = TargetState.normalized(mu, eta, math.sqrt(1.0 - mu**2 - eta**2))
+        omega, _ = mode_comparison_ratio(mu, eta)
+        assert omega == pytest.approx(0.50050, abs=1e-5)
+        nomw = design(ProtocolRequest(Protocol.SINGLE_MODE_II_NO_MICROWAVE, target))
+        multi = design(ProtocolRequest(Protocol.MULTI_MODE, target))
+        span_s, span_m = (abs(d.boundary["phi_f"] - d.boundary["phi_0"])
+                          for d in (nomw, multi))
+        assert span_s / span_m == pytest.approx(5.0400, abs=1e-4)
+        # the closed form's excursion misses the third boundary equation
+        # s0 cos(phi_f) = mu s0 - nu c0 by 0.96; the design's meets it
+        theta0 = multi.boundary["theta_0"]
+        s0, c0 = math.sin(theta0), math.cos(theta0)
+        excursion = math.pi - math.asin(target.eta / s0)
+        rhs = target.mu * s0 - target.nu * c0
+        assert abs(s0 * math.cos(excursion) - rhs) == pytest.approx(0.96, abs=1e-6)
+        assert abs(s0 * math.cos(multi.boundary["phi_f"]) - rhs) <= 1e-15
 
     @pytest.mark.parametrize("args", [(1e200, 0.0), (0.0, 1e200), (1e200, 1e200, 0.5),
                                       (1.0 + 2e-12, 0.0)])
@@ -238,7 +275,8 @@ class TestVectorizedSurface:
         assert (mu, eta) == (33 / 49, 28 / 49)
         nu = math.sqrt(1.0 - mu**2 - eta**2)
         target = TargetState.normalized(mu, eta, nu)
-        theta0 = solve_multimode_boundary(target).theta0
+        multi = design(ProtocolRequest(Protocol.MULTI_MODE, target))
+        theta0 = multi.boundary["theta_0"]
         arg = target.eta / math.sin(theta0)
         assert abs(arg - 1.0) <= 2.3e-16
         below = abs(math.asin(target.eta) - math.pi / 2) / (

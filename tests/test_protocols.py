@@ -17,16 +17,10 @@ from cdpulse import (
     PulseSet,
     TargetState,
     design,
-    design_multimode,
-    design_phased,
-    design_protocol_I,
-    design_protocol_II,
-    design_protocol_II_no_microwave,
     cavity_qed_hamiltonian,
     evolve,
     preset_targets,
     select_branch,
-    solve_multimode_boundary,
 )
 from cdpulse import dynamics
 from cdpulse.errors import (
@@ -76,6 +70,16 @@ class TestTargetState:
     def test_request_interval(self):
         with pytest.raises(InvalidInputError):
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0), tf=0.0)
+
+    @pytest.mark.parametrize("field, value", [("protocol", "multi"), ("protocol", None),
+                                              ("branch", "least-energy"),
+                                              ("branch", Protocol.MULTI_MODE)])
+    def test_request_needs_the_enums(self, field, value):
+        # a protocol or branch given by its value string is an input error,
+        # not a KeyError in design's dispatch or a silently ignored branch
+        fields = {"protocol": Protocol.MULTI_MODE, field: value}
+        with pytest.raises(InvalidInputError, match=field):
+            ProtocolRequest(target=TargetState(1.0, 0.0, 0.0), **fields)
 
     @pytest.mark.parametrize("values", [(1e200, 0.0, 0.0), (0.0, -1e300, 0.6),
                                         (0.6, 0.0, 1e155)])
@@ -153,7 +157,7 @@ class TestSelectBranch:
 class TestProtocolI:
     def test_even_split_design(self):
         req = ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(SQ2, 0.0, SQ2))
-        d = design_protocol_I(req)
+        d = design(req)
         # pulse closed form: Omega_a = -(pi/4) * 6 * (t - t^2) on T = 1
         t = np.linspace(0.0, 1.0, 501)
         expected = -(math.pi / 4.0) * 6.0 * (t - t**2)
@@ -171,7 +175,7 @@ class TestProtocolI:
         assert p[1] <= 1e-10
 
     def test_identity_target(self):
-        d = design_protocol_I(
+        d = design(
             ProtocolRequest(Protocol.SINGLE_MODE_I, TargetState(1.0, 0.0, 0.0))
         )
         t = np.linspace(0.0, 1.0, 101)
@@ -180,7 +184,7 @@ class TestProtocolI:
 
     def test_eta_rejected(self):
         with pytest.raises(ProtocolMismatchError):
-            design_protocol_I(
+            design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_I, TargetState.normalized(1.0, 0.4, 0.2)
                 )
@@ -188,7 +192,7 @@ class TestProtocolI:
 
     def test_wrong_initial_state(self):
         with pytest.raises(ProtocolMismatchError):
-            design_protocol_I(
+            design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_I,
                     TargetState(SQ2, 0.0, SQ2),
@@ -198,7 +202,7 @@ class TestProtocolI:
 
     def test_non_finite_initial_vector(self):
         with pytest.raises(InvalidInputError, match="not normalized"):
-            design_protocol_I(
+            design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_I,
                     TargetState(SQ2, 0.0, SQ2),
@@ -216,7 +220,7 @@ class TestProtocolII:
         ],
     )
     def test_population_targets(self, mu, eta, nu, pops):
-        d = design_protocol_II(
+        d = design(
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(mu, eta, nu))
         )
         p = run(d).populations[-1]
@@ -224,7 +228,7 @@ class TestProtocolII:
 
     def test_quadrature_identity(self):
         # sqrt(Op^2 + Os^2) = |dphi| pointwise
-        d = design_protocol_II(
+        d = design(
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(SQ3, SQ3, SQ3))
         )
         t = np.linspace(0.0, 1.0, 777)
@@ -234,7 +238,7 @@ class TestProtocolII:
     def test_pure_inversion_limit(self):
         # eta = mu = 0: theta runs pi/2 -> 0, |1> -> -|3> along the moving
         # state; oracle is the integrated Schroedinger dynamics itself
-        d = design_protocol_II(
+        d = design(
             ProtocolRequest(Protocol.SINGLE_MODE_II, TargetState(0.0, 0.0, 1.0))
         )
         t = np.linspace(0.0, 1.0, 301)
@@ -247,7 +251,7 @@ class TestProtocolII:
 
     def test_negative_amplitudes_rejected(self):
         with pytest.raises(UnsupportedBranchError):
-            design_protocol_II(
+            design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_II, TargetState(SQ2, 0.0, -SQ2)
                 )
@@ -268,7 +272,7 @@ class TestNoMicrowave:
         ],
     )
     def test_population_targets(self, mu, eta, nu, pops):
-        d = design_protocol_II_no_microwave(
+        d = design(
             ProtocolRequest(
                 Protocol.SINGLE_MODE_II_NO_MICROWAVE,
                 TargetState.normalized(mu, eta, nu),
@@ -281,7 +285,7 @@ class TestNoMicrowave:
         assert np.max(np.abs(p - np.array(pops))) <= 1e-6
 
     def test_identity_when_target_is_initial(self):
-        d = design_protocol_II_no_microwave(
+        d = design(
             ProtocolRequest(
                 Protocol.SINGLE_MODE_II_NO_MICROWAVE,
                 TargetState(0.0, 1.0, 0.0),
@@ -294,7 +298,7 @@ class TestNoMicrowave:
 
     def test_wrong_initial_state(self):
         with pytest.raises(ProtocolMismatchError):
-            design_protocol_II_no_microwave(
+            design(
                 ProtocolRequest(
                     Protocol.SINGLE_MODE_II_NO_MICROWAVE,
                     TargetState(SQ2, 0.0, SQ2),
@@ -303,42 +307,48 @@ class TestNoMicrowave:
             )
 
 
+def multi_boundary(target):
+    """The multi design's boundary record, with its mode coefficients."""
+    dsg = design(ProtocolRequest(Protocol.MULTI_MODE, target))
+    return dsg.boundary, dsg.mode_coefficients
+
+
 class TestMultiModeBoundary:
-    def residuals(self, target, sol):
+    def residuals(self, target, boundary):
         """Oracle: the three boundary equations evaluated directly."""
-        c0, s0 = math.cos(sol.theta0), math.sin(sol.theta0)
+        c0, s0 = math.cos(boundary["theta_0"]), math.sin(boundary["theta_0"])
+        phi_f = boundary["phi_f"]
         return (
             abs(c0 - (target.mu * c0 + target.nu * s0)),
-            abs(s0 * math.sin(sol.phi_f) - target.eta),
-            abs(s0 * math.cos(sol.phi_f) - (target.mu * s0 - target.nu * c0)),
+            abs(s0 * math.sin(phi_f) - target.eta),
+            abs(s0 * math.cos(phi_f) - (target.mu * s0 - target.nu * c0)),
         )
 
     def test_full_inversion_case(self):
-        sol = solve_multimode_boundary(TargetState(0.0, 0.0, 1.0))
-        assert sol.theta0 == pytest.approx(math.pi / 4.0, abs=1e-15)
-        assert sol.phi_f == pytest.approx(math.pi, abs=1e-12)
+        boundary, _ = multi_boundary(TargetState(0.0, 0.0, 1.0))
+        assert boundary["theta_0"] == pytest.approx(math.pi / 4.0, abs=1e-15)
+        assert boundary["phi_f"] == pytest.approx(math.pi, abs=1e-12)
 
     def test_symmetric_case(self):
         tgt = TargetState(SQ3, SQ3, SQ3)
-        sol = solve_multimode_boundary(tgt)
-        assert sol.theta0 == pytest.approx(0.6319, abs=5e-4)
-        assert sol.phi_f == pytest.approx(1.7837, abs=5e-4)
-        assert math.sin(sol.theta0) * math.sin(sol.phi_f) == pytest.approx(
-            tgt.eta, abs=1e-12
-        )
-        assert max(self.residuals(tgt, sol)) <= 1e-12
+        boundary, _ = multi_boundary(tgt)
+        assert boundary["theta_0"] == pytest.approx(0.6319, abs=5e-4)
+        assert boundary["phi_f"] == pytest.approx(1.7837, abs=5e-4)
+        assert math.sin(boundary["theta_0"]) * math.sin(
+            boundary["phi_f"]) == pytest.approx(tgt.eta, abs=1e-12)
+        assert max(self.residuals(tgt, boundary)) <= 1e-12
 
     def test_nu_zero_limit(self):
         tgt = TargetState(0.6, 0.8, 0.0)
-        sol = solve_multimode_boundary(tgt)
-        assert sol.theta0 == pytest.approx(math.pi / 2.0, abs=1e-15)
-        assert sol.phi_f == pytest.approx(math.acos(0.6), abs=1e-12)
-        assert max(self.residuals(tgt, sol)) <= 1e-12
+        boundary, _ = multi_boundary(tgt)
+        assert boundary["theta_0"] == pytest.approx(math.pi / 2.0, abs=1e-15)
+        assert boundary["phi_f"] == pytest.approx(math.acos(0.6), abs=1e-12)
+        assert max(self.residuals(tgt, boundary)) <= 1e-12
 
     def test_identity_short_circuit(self):
-        sol = solve_multimode_boundary(TargetState(1.0, 0.0, 0.0))
-        assert sol.phi_f == 0.0
-        assert sol.mode_coefficients == (0.0, 1.0, 0.0)
+        boundary, coefficients = multi_boundary(TargetState(1.0, 0.0, 0.0))
+        assert boundary["phi_f"] == 0.0
+        assert coefficients == (0.0, 1.0, 0.0)
 
     def test_random_targets_satisfy_boundary(self):
         rng = np.random.default_rng(31)
@@ -347,8 +357,8 @@ class TestMultiModeBoundary:
             tgt = TargetState.normalized(*v)
             if abs(tgt.mu - 1.0) < 1e-9:
                 continue
-            sol = solve_multimode_boundary(tgt)
-            assert max(self.residuals(tgt, sol)) <= 1e-10
+            boundary, _ = multi_boundary(tgt)
+            assert max(self.residuals(tgt, boundary)) <= 1e-10
 
 
 class TestMultiModeDesign:
@@ -363,7 +373,7 @@ class TestMultiModeDesign:
         ],
     )
     def test_targets_reached(self, mu, eta, nu):
-        d = design_multimode(
+        d = design(
             ProtocolRequest(Protocol.MULTI_MODE, TargetState.normalized(mu, eta, nu))
         )
         traj = run(d)
@@ -372,7 +382,7 @@ class TestMultiModeDesign:
         assert np.max(np.abs(d.pulses(t)[..., 2])) == 0.0
 
     def test_mode_coefficients_conserved(self):
-        d = design_multimode(
+        d = design(
             ProtocolRequest(Protocol.MULTI_MODE, TargetState(SQ3, SQ3, SQ3))
         )
         traj = run(d)
@@ -385,7 +395,7 @@ class TestMultiModeDesign:
 
 class TestPhased:
     def test_half_transfer(self):
-        d = design_phased(
+        d = design(
             ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2))
         )
         traj = run(d)
@@ -394,7 +404,7 @@ class TestPhased:
         assert d.boundary["kappa_f"] == pytest.approx(0.5 * math.pi)
 
     def test_zero_rate_stays_real(self):
-        d = design_phased(
+        d = design(
             ProtocolRequest(
                 Protocol.PHASED, TargetState(SQ2, 0.0, SQ2), lambda_rate=0.0
             )
@@ -404,7 +414,7 @@ class TestPhased:
 
     def test_pure_winding(self):
         # mu = 0: no population motion, only the winding phase on |3>
-        d = design_phased(
+        d = design(
             ProtocolRequest(Protocol.PHASED, TargetState(0.0, 0.0, 1.0))
         )
         traj = run(d)
@@ -415,7 +425,7 @@ class TestPhased:
 
     def test_eta_unsupported(self):
         with pytest.raises(UnsupportedBranchError):
-            design_phased(
+            design(
                 ProtocolRequest(Protocol.PHASED, TargetState(SQ3, SQ3, SQ3))
             )
 
@@ -423,7 +433,7 @@ class TestPhased:
     def test_non_finite_final_phase_rejected(self, lam):
         # lambda*pi*T overflows: an input error, not an integration failure
         with pytest.raises(InvalidInputError):
-            design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+            design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
                                           lambda_rate=lam))
 
     @pytest.mark.parametrize("T", [0.5, 3.0])
@@ -435,7 +445,7 @@ class TestPhased:
         # integrate at all (|kappa(tf)| > 6.1e5 at its largest step count)
         # is designed and propagated to rounding at 100 steps, up to just
         # below 2**52, where ulp(kappa(tf)) is half a radian
-        d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+        d = design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
                                           initial_state=3, tf=T,
                                           lambda_rate=sign * kappa_f / (math.pi * T)))
         assert d.boundary["kappa_f"] == pytest.approx(sign * kappa_f, rel=1e-15)
@@ -452,7 +462,7 @@ class TestPhased:
         # from |kappa(tf)| = 2**52 on, ulp(kappa(tf)) is a radian or more, so
         # the float kappa(tf) no longer fixes the |3> phase
         with pytest.raises(InvalidInputError, match="kappa.*lower --lambda"):
-            design_phased(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
+            design(ProtocolRequest(Protocol.PHASED, TargetState(SQ2, 0.0, SQ2),
                                           initial_state=3, tf=T,
                                           lambda_rate=sign * kappa_f / (math.pi * T)))
 
@@ -465,7 +475,7 @@ class TestPhased:
         nu = math.sqrt(1.0 - mu * mu)
 
         def drifts(kappa_f):
-            d = design_phased(ProtocolRequest(Protocol.PHASED, TargetState(mu, 0.0, nu),
+            d = design(ProtocolRequest(Protocol.PHASED, TargetState(mu, 0.0, nu),
                                               initial_state=3,
                                               lambda_rate=kappa_f / math.pi))
             rk4 = reference_rk4(d.hamiltonian, d.initial_state, 0.0, 1.0, n)
@@ -486,7 +496,7 @@ class TestPhased:
     def test_exact_at_400_steps(self, lam, T):
         rng = np.random.default_rng(int(T * 10))
         for mu in (0.0, *rng.uniform(0.0, 1.0, size=4), 1.0):
-            d = design_phased(ProtocolRequest(
+            d = design(ProtocolRequest(
                 Protocol.PHASED, TargetState(mu, 0.0, math.sqrt(1.0 - mu * mu)),
                 initial_state=3, tf=T, lambda_rate=lam))
             traj = run(d, steps=400)
@@ -498,12 +508,51 @@ class TestPhased:
     @given(mu=st.floats(0.0, 1.0), T=st.floats(0.1, 10.0),
            lam=st.floats(-1e3, 1e3), t0=st.floats(-5.0, 5.0))
     def test_any_phased_target_is_exact(self, mu, T, lam, t0):
-        d = design_phased(ProtocolRequest(
+        d = design(ProtocolRequest(
             Protocol.PHASED, TargetState(mu, 0.0, math.sqrt(1.0 - mu * mu)),
             initial_state=3, t0=t0, tf=t0 + T, lambda_rate=lam))
         traj = run(d, steps=400)
         error = np.max(np.linalg.norm(traj.states - d.exact_state(traj.times), axis=1))
         assert error <= 1e-13
+
+
+EXTRA_BOUNDARY_KEYS = {
+    Protocol.SINGLE_MODE_I: {"branch"},
+    Protocol.SINGLE_MODE_II: {"chi"},
+    Protocol.SINGLE_MODE_II_NO_MICROWAVE: {"chi"},
+    Protocol.MULTI_MODE: {"zeta"},
+    Protocol.PHASED: {"kappa_f", "lambda"},
+}
+
+
+class TestOneConstructor:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from([(Protocol.SINGLE_MODE_I, b) for b in Branch] + [
+               (p, Branch.LEAST_ENERGY) for p in Protocol
+               if p is not Protocol.SINGLE_MODE_I]),
+           polar=st.floats(0.0, math.pi / 2), azimuth=st.floats(0.0, math.pi / 2),
+           t0=st.floats(-5.0, 5.0), T=st.floats(0.1, 10.0), lam=st.floats(-1e3, 1e3))
+    def test_schedule_meets_the_boundary_record(self, case, polar, azimuth, t0, T, lam):
+        protocol, branch = case
+        if protocol in (Protocol.SINGLE_MODE_I, Protocol.PHASED):
+            azimuth = 0.0
+        target = TargetState(math.sin(polar) * math.cos(azimuth),
+                             math.sin(polar) * math.sin(azimuth), math.cos(polar))
+        dsg = design(ProtocolRequest(protocol, target, t0=t0, tf=t0 + T, branch=branch,
+                                     lambda_rate=lam))
+        s, b = dsg.schedule, dsg.boundary
+        tf = s.tf
+        for angle, key in ((s.theta, "theta"), (s.phi, "phi")):
+            start, end = b[key + "_0"], b[key + "_f"]
+            assert angle(t0) == start
+            assert angle.derivative(t0) == 0.0
+            scale = max(1.0, abs(start), abs(end))
+            assert abs(angle(tf) - end) <= 1e-14 * scale
+            assert abs(angle.derivative(tf)) <= 1e-14 * scale / T
+        assert set(b) - {"theta_0", "theta_f", "phi_0", "phi_f"} == (
+            EXTRA_BOUNDARY_KEYS[protocol])
+        if protocol is Protocol.PHASED:
+            assert s.kappa(tf) == b["kappa_f"]
 
 
 class TestDispatchAndPresets:
